@@ -8,9 +8,9 @@
 // from one enterprise incident and times it three ways:
 //
 //   cold   — no caches (the pre-cache engine's behaviour);
-//   shared — WindowStats + FactorCache shared across the symptom set, as
+//   shared — one TrainingCaches shared across the symptom set, as
 //            BatchDiagnoser wires it (first pass trains misses);
-//   warm   — a second pass over the same generation (everything hits, the
+//   warm   — a second pass over the same db state (everything hits, the
 //            repeat-diagnosis case).
 //
 // The trained conditionals are bitwise identical in all three modes (the
@@ -25,7 +25,6 @@
 #include "src/core/factor_cache.h"
 #include "src/core/symptom_finder.h"
 #include "src/enterprise/incidents.h"
-#include "src/stats/window_stats.h"
 
 using namespace murphy;
 
@@ -34,8 +33,7 @@ namespace {
 double train_all(const telemetry::MonitoringDb& db,
                  std::span<const core::Symptom> symptoms,
                  TimeIndex train_begin, TimeIndex train_end,
-                 stats::WindowStats* ws, core::FactorCache* fc,
-                 std::size_t* factors_out, bool epoch_keys = false) {
+                 core::TrainingCaches* caches, std::size_t* factors_out) {
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t factors = 0;
   for (const core::Symptom& symptom : symptoms) {
@@ -43,9 +41,8 @@ double train_all(const telemetry::MonitoringDb& db,
     const auto graph = graph::RelationshipGraph::build(db, seed_vec);
     const core::MetricSpace space(db, graph);
     core::FactorTrainingOptions topts;
-    topts.window_stats = ws;
-    topts.factor_cache = fc;
-    topts.epoch_keys = epoch_keys;
+    topts.caches = caches;
+    if (caches != nullptr) caches->renew(db, topts);
     const core::FactorSet factors_set(db, graph, space, train_begin,
                                       train_end, topts);
     factors += factors_set.size();
@@ -128,17 +125,14 @@ int main() {
   for (std::size_t r = 0; r < reps; ++r) {
     cold_ms = std::min(
         cold_ms, train_all(db, symptoms, train_begin, train_end, nullptr,
-                           nullptr, &factors));
+                           &factors));
 
-    stats::WindowStats ws;
-    core::FactorCache fc;
-    ws.reset(1);
-    fc.reset(1);
+    core::TrainingCaches caches;
     shared_ms =
         std::min(shared_ms, train_all(db, symptoms, train_begin, train_end,
-                                      &ws, &fc, nullptr));
+                                      &caches, nullptr));
     warm_ms = std::min(warm_ms, train_all(db, symptoms, train_begin,
-                                          train_end, &ws, &fc, nullptr));
+                                          train_end, &caches, nullptr));
     std::fprintf(stderr, "  rep %zu done\n", r + 1);
   }
 
@@ -157,39 +151,25 @@ int main() {
   m.gauge("bench.shared_speedup")->set(cold_ms / shared_ms);
   m.gauge("bench.warm_speedup")->set(cold_ms / warm_ms);
 
-  // --- streaming churn: epoch-keyed vs global invalidation ------------------
-  // The long-running service's case for FactorTrainingOptions::epoch_keys:
-  // after ~1% of series receive a streamed value, a generation keyed on
-  // data_version() is worthless (every retrain misses), while epoch keys
-  // retire only the factors whose neighborhood read a touched series.
+  // --- streaming churn ----------------------------------------------------
+  // The long-running case: after ~1% of series receive a streamed value,
+  // epoch keys retire only the factors whose neighborhood read a touched
+  // series; the rest of the cache keeps hitting.
   std::printf("\nstreaming churn (~1%% of series written between passes):\n");
-  double epoch_rate = 0.0, global_rate = 0.0;
+  double epoch_rate = 0.0;
   {
     telemetry::MonitoringDb churn_db = db;  // mutable copy, fresh uid
-    stats::WindowStats ws;
-    core::FactorCache fc;
-    // Epoch mode: fingerprint over identity + STRUCTURE only (the service's
-    // wiring); value churn keeps the generation alive.
-    const auto fp = [&] {
-      return core::hash_mix(core::hash_mix(0xBE9C11u, churn_db.uid()),
-                            churn_db.structural_data_version());
-    };
-    ws.reset(fp());
-    fc.reset(fp());
-    train_all(churn_db, symptoms, train_begin, train_end, &ws, &fc, nullptr,
-              /*epoch_keys=*/true);
+    core::TrainingCaches caches;
+    train_all(churn_db, symptoms, train_begin, train_end, &caches, nullptr);
     // Every pass-1 miss is one unique factor; a pass-2 miss is a factor the
     // churn invalidated. retained = the fraction that did NOT retrain —
-    // the raw hit rate would flatter both modes with intra-pass
-    // cross-symptom reuse, which is not what invalidation granularity is
-    // about.
+    // the raw hit rate would flatter it with intra-pass cross-symptom
+    // reuse, which is not what invalidation granularity is about.
+    const core::FactorCache& fc = caches.factors();
     const std::uint64_t unique = fc.misses();
     const std::size_t touched = churn_series(churn_db, 0.01, train_end - 1);
-    ws.reset(fp());
-    fc.reset(fp());
     const std::uint64_t h0 = fc.hits(), m0 = fc.misses();
-    train_all(churn_db, symptoms, train_begin, train_end, &ws, &fc, nullptr,
-              /*epoch_keys=*/true);
+    train_all(churn_db, symptoms, train_begin, train_end, &caches, nullptr);
     const std::uint64_t h = fc.hits() - h0, mm = fc.misses() - m0;
     epoch_rate =
         unique == 0
@@ -198,44 +178,12 @@ int main() {
     std::printf("  %zu series touched, %llu unique factors\n", touched,
                 static_cast<unsigned long long>(unique));
     std::printf(
-        "  epoch-keyed : %5.1f%% factors retained (%llu retrained), "
-        "%5.1f%% lookup hits\n",
+        "  %5.1f%% factors retained (%llu retrained), %5.1f%% lookup hits\n",
         100.0 * epoch_rate, static_cast<unsigned long long>(mm),
         100.0 * static_cast<double>(h) / static_cast<double>(h + mm));
   }
-  {
-    telemetry::MonitoringDb churn_db = db;
-    stats::WindowStats ws;
-    core::FactorCache fc;
-    // Global mode: BatchDiagnoser's fingerprint includes data_version(), so
-    // the churn resets the whole generation.
-    const auto fp = [&] {
-      return core::hash_mix(core::hash_mix(0xBE9C11u, churn_db.uid()),
-                            churn_db.data_version());
-    };
-    ws.reset(fp());
-    fc.reset(fp());
-    train_all(churn_db, symptoms, train_begin, train_end, &ws, &fc, nullptr);
-    const std::uint64_t unique = fc.misses();
-    churn_series(churn_db, 0.01, train_end - 1);
-    ws.reset(fp());
-    fc.reset(fp());
-    const std::uint64_t m0 = fc.misses();
-    train_all(churn_db, symptoms, train_begin, train_end, &ws, &fc, nullptr);
-    const std::uint64_t mm = fc.misses() - m0;
-    global_rate =
-        unique == 0
-            ? 0.0
-            : 1.0 - static_cast<double>(mm) / static_cast<double>(unique);
-    std::printf(
-        "  global      : %5.1f%% factors retained (%llu retrained)\n",
-        100.0 * global_rate, static_cast<unsigned long long>(mm));
-  }
-  std::printf(
-      "\ntarget: epoch-keyed retains >= 80%% of factors at 1%% churn "
-      "(global: ~0%%)\n");
+  std::printf("\ntarget: retains >= 80%% of factors at 1%% churn\n");
   m.gauge("bench.churn_epoch_retained")->set(epoch_rate);
-  m.gauge("bench.churn_global_retained")->set(global_rate);
 
   bench::write_bench_json("factor_training");
   return 0;

@@ -13,8 +13,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/baselines/explainit.h"
@@ -131,12 +133,35 @@ inline std::string workloads_json() {
 #define MURPHY_BUILD_FLAGS "unknown"
 #endif
 
+// The measuring host: online core count and CPU model (the first
+// "model name" line of /proc/cpuinfo; "unknown" where there is none).
+inline std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    const auto start = colon == std::string::npos
+                           ? colon
+                           : line.find_first_not_of(" \t", colon + 1);
+    if (start != std::string::npos) cpu = line.substr(start);
+    break;
+  }
+  std::string out = "{\"nproc\":";
+  out += std::to_string(std::thread::hardware_concurrency());
+  out += ",\"cpu\":";
+  obs::json_append_escaped(out, cpu);
+  out += "}";
+  return out;
+}
+
 // Dumps the global metrics registry (engine internals plus the phase.*_ms
 // timing histograms) as BENCH_<name>.json next to the binary's cwd, so runs
 // are machine-readable in addition to the stdout tables. Each snapshot is
-// stamped with the measurement's provenance: git SHA, build flags, and the
-// thread count the process would resolve for parallel phases — numbers
-// without that context can't be compared across machines or commits.
+// stamped with the measurement's provenance: git SHA, build flags, the
+// host, and the thread count the process would resolve for parallel
+// phases — numbers without that context can't be compared across machines
+// or commits.
 inline void write_bench_json(const char* name) {
   const std::string path = std::string("BENCH_") + name + ".json";
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -151,6 +176,8 @@ inline void write_bench_json(const char* name) {
   out += "\",\"git_sha\":\"" MURPHY_GIT_SHA "\"";
   out += ",\"build_flags\":";
   obs::json_append_escaped(out, MURPHY_BUILD_FLAGS);
+  out += ",\"host\":";
+  out += host_json();
   out += ",\"num_threads\":";
   out += std::to_string(resolve_num_threads(0));
   // Inference-mode knobs: snapshots from different modes are not comparable

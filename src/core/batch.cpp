@@ -1,7 +1,6 @@
 #include "src/core/batch.h"
 
 #include <algorithm>
-#include <bit>
 #include <unordered_map>
 
 #include "src/common/thread_pool.h"
@@ -73,33 +72,13 @@ BatchResult BatchDiagnoser::diagnose_symptoms(
       result.symptoms.size() > 1)
     inner.num_threads = 1;
 
-  // Cross-symptom training caches. The generation fingerprint covers the
-  // training window, every db mutation (data_version) and the training
-  // options that shape a fit; the db's process-unique uid distinguishes
-  // distinct stores. (The uid, not the address: an address can be recycled
-  // by a db that is destroyed and another constructed at the same storage —
-  // with a coincidentally equal data_version the caches would serve stale
-  // factors, the classic ABA.) A fingerprint change resets both caches, so
-  // a window shift or any telemetry write retrains from scratch.
-  if (opts_.share_training) {
-    const FactorTrainingOptions& t = opts_.murphy.training;
-    std::uint64_t fp = hash_mix(0xB47C4ACEu, train_begin);
-    fp = hash_mix(fp, train_end);
-    fp = hash_mix(fp, db.data_version());
-    fp = hash_mix(fp, db.uid());
-    if (window_stats_ == nullptr)
-      window_stats_ = std::make_unique<stats::WindowStats>();
-    window_stats_->reset(fp);
-    fp = hash_mix(fp, t.top_b);
-    fp = hash_mix(fp, static_cast<std::uint64_t>(t.model));
-    fp = hash_mix(fp, std::bit_cast<std::uint64_t>(t.predictor.l2));
-    fp = hash_mix(fp, std::bit_cast<std::uint64_t>(t.recency_half_life));
-    if (factor_cache_ == nullptr)
-      factor_cache_ = std::make_unique<FactorCache>();
-    factor_cache_->reset(fp);
-    inner.training.window_stats = window_stats_.get();
-    inner.training.factor_cache = factor_cache_.get();
-  }
+  // Value writes retire stale cache entries by changing their keys (see
+  // FactorTrainingOptions::caches); identity, structure and option changes
+  // start a new generation. No cache reference is live between calls, so
+  // this is where the maps are pruned back under their bound.
+  caches_.renew(db, opts_.murphy.training);
+  caches_.prune();
+  inner.training.caches = &caches_;
   parallel_for(
       opts_.murphy.num_threads, result.symptoms.size(), [&](std::size_t i) {
         // Explicit parent + symptom index as stream: the nested diagnosis

@@ -8,7 +8,6 @@
 // symptoms is a stronger suspect than one implicated once.
 #pragma once
 
-#include <memory>
 #include <span>
 
 #include "src/core/murphy.h"
@@ -32,14 +31,6 @@ struct BatchOptions {
   SymptomFinderOptions finder;
   // Per-symptom candidates below this rank do not contribute to the merge.
   std::size_t per_symptom_top_k = 10;
-  // Cross-symptom training caches (window column moments + trained
-  // factors). Symptoms of one incident share most of their graph
-  // neighborhoods, so each shared factor trains once instead of once per
-  // symptom. Purely a work-saving measure: per-symptom and merged results
-  // are bitwise identical with the caches on or off. Caches invalidate
-  // automatically when the training window, the db's data version, or the
-  // training options change between calls.
-  bool share_training = true;
 };
 
 struct BatchResult {
@@ -69,13 +60,20 @@ class BatchDiagnoser {
       const telemetry::MonitoringDb& db, std::vector<Symptom> symptoms,
       TimeIndex now, TimeIndex train_begin, TimeIndex train_end);
 
+  // The persistent training caches, for inspection (sizes, hit/miss
+  // tallies). Either cache exceeds max_entries() by at most one call's
+  // working set: each call prunes before it trains.
+  [[nodiscard]] TrainingCaches& caches() { return caches_; }
+
  private:
   BatchOptions opts_;
-  // Persistent across calls: a repeat diagnosis over the same (db, window,
-  // options) generation reuses every factor. See diagnose_symptoms for the
-  // fingerprint that guards staleness.
-  std::unique_ptr<stats::WindowStats> window_stats_;
-  std::unique_ptr<FactorCache> factor_cache_;
+  // Cross-symptom training caches (window column moments + trained
+  // factors), persistent across calls. Symptoms of one incident share most
+  // of their graph neighborhoods, so each shared factor trains once instead
+  // of once per symptom, and a repeat diagnosis reuses every factor whose
+  // inputs did not change. Purely a work-saving measure: results are
+  // bitwise identical to uncached per-symptom diagnoses.
+  TrainingCaches caches_;
 };
 
 }  // namespace murphy::core

@@ -1,5 +1,10 @@
 #include "src/core/factor_cache.h"
 
+#include <bit>
+
+#include "src/core/factor_model.h"
+#include "src/telemetry/monitoring_db.h"
+
 namespace murphy::core {
 
 std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
@@ -9,54 +14,24 @@ std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
   return z ^ (z >> 31);
 }
 
-void FactorCache::reset(std::uint64_t fingerprint) {
-  std::unique_lock lock(mu_);
-  if (fingerprint == fingerprint_ && !entries_.empty()) return;
-  entries_.clear();
-  fingerprint_ = fingerprint;
+void TrainingCaches::renew(const telemetry::MonitoringDb& db,
+                           const FactorTrainingOptions& opts) {
+  std::uint64_t g = hash_mix(0x5E21BCE5u, db.uid());
+  g = hash_mix(g, db.structural_data_version());
+  g = hash_mix(g, opts.top_b);
+  g = hash_mix(g, static_cast<std::uint64_t>(opts.model));
+  g = hash_mix(g, std::bit_cast<std::uint64_t>(opts.predictor.l2));
+  g = hash_mix(g, std::bit_cast<std::uint64_t>(opts.recency_half_life));
+  std::lock_guard lock(mu_);
+  if (g == generation_) return;
+  window_stats_.prune(0);
+  factors_.prune(0);
+  generation_ = g;
 }
 
-const CachedFactor& FactorCache::get_or_train(std::uint64_t key,
-                                              const Trainer& trainer,
-                                              bool* trained) {
-  Entry* entry = nullptr;
-  {
-    std::shared_lock lock(mu_);
-    if (const auto it = entries_.find(key); it != entries_.end())
-      entry = it->second.get();
-  }
-  if (entry == nullptr) {
-    std::unique_lock lock(mu_);
-    auto& slot = entries_[key];
-    if (slot == nullptr) slot = std::make_unique<Entry>();
-    entry = slot.get();
-  }
-  bool built = false;
-  std::call_once(entry->once, [&] {
-    entry->factor = trainer();
-    built = true;
-  });
-  (built ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
-  if (trained != nullptr) *trained = built;
-  return entry->factor;
-}
-
-std::uint64_t FactorCache::hits() const {
-  return hits_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t FactorCache::misses() const {
-  return misses_.load(std::memory_order_relaxed);
-}
-
-std::size_t FactorCache::size() const {
-  std::shared_lock lock(mu_);
-  return entries_.size();
-}
-
-void FactorCache::prune(std::size_t max_entries) {
-  std::unique_lock lock(mu_);
-  if (entries_.size() > max_entries) entries_.clear();
+void TrainingCaches::prune() {
+  window_stats_.prune(max_entries_);
+  factors_.prune(max_entries_);
 }
 
 }  // namespace murphy::core

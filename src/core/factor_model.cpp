@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "src/common/thread_pool.h"
+#include "src/obs/metrics.h"
 #include "src/stats/correlation.h"
 #include "src/stats/ridge.h"
 #include "src/stats/summary.h"
@@ -62,26 +63,34 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   // mean/variance rescan.
   std::vector<const stats::ColumnMoments*> col(space.size());
   std::vector<stats::ColumnMoments> local;
-  if (opts.window_stats != nullptr) {
+  // The train window rides in every cache key, so requests with different
+  // windows share one cache generation.
+  const std::uint64_t window_key =
+      (static_cast<std::uint64_t>(train_begin) << 32) | train_end;
+  if (opts.caches != nullptr) {
+    static obs::Counter* const c_window_hits =
+        obs::global_metrics().counter("cache.window_hits");
+    static obs::Counter* const c_window_misses =
+        obs::global_metrics().counter("cache.window_misses");
     for (VarIndex v = 0; v < space.size(); ++v) {
       const auto& var = space.var(v);
-      std::uint64_t key =
+      // A write to this series changes its epoch, hence the key: the stale
+      // column is simply never looked up again (see FactorTrainingOptions).
+      std::uint64_t key = hash_mix(
+          0xE90C4B11u,
           (static_cast<std::uint64_t>(var.entity.value()) << 32) |
-          var.kind.value();
-      if (opts.epoch_keys) {
-        // A write to this series changes its epoch, hence the key: the stale
-        // column is simply never looked up again (see FactorTrainingOptions).
-        // The window rides in the key too — the service's generation
-        // fingerprint deliberately excludes it so concurrent requests with
-        // different windows can share one cache generation.
-        key = hash_mix(hash_mix(0xE90C4B11u, key),
-                       db.metrics().series_epoch(var.entity, var.kind));
-        key = hash_mix(key, (static_cast<std::uint64_t>(train_begin) << 32) |
-                                train_end);
-      }
-      col[v] = &opts.window_stats->get_or_build(key, [&] {
-        return space.history(db, v, train_begin, train_end);
-      });
+              var.kind.value());
+      key = hash_mix(key, db.metrics().series_epoch(var.entity, var.kind));
+      key = hash_mix(key, window_key);
+      bool built = false;
+      col[v] = &opts.caches->window_stats().get_or_build(
+          key,
+          [&] {
+            return stats::build_column_moments(
+                space.history(db, v, train_begin, train_end));
+          },
+          &built);
+      (built ? c_window_misses : c_window_hits)->add(1);
     }
   } else {
     local.resize(space.size());
@@ -236,11 +245,41 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   // The factor cache only engages for ridge: its closed-form fit ignores
   // popts.seed, which is the one graph-dependent fit input (mix_seed over
   // VarIndex). Stochastic families train per graph.
-  const bool cacheable = opts.factor_cache != nullptr &&
+  const bool cacheable = opts.caches != nullptr &&
                          opts.model == stats::ModelKind::kRidge;
   if (cacheable && opts.metrics != nullptr) {
     c_cache_hits = opts.metrics->counter("cache.factor_hits");
     c_cache_misses = opts.metrics->counter("cache.factor_misses");
+  }
+
+  // The node part of every factor key, shared by all metric kinds of the
+  // node: its entity, the sorted in-neighbor entity set (equal keys =>
+  // identical candidate feature set => identical selection and fit, see
+  // FactorCache), and the (kind, epoch) vector of every series the trainer
+  // may read — the node entity's and each in-neighbor's. A write to any of
+  // them (or a freshly appearing series) changes the key; everything else
+  // keeps hitting (see FactorTrainingOptions::caches).
+  std::vector<std::uint64_t> node_key;
+  if (cacheable) {
+    node_key.resize(graph.node_count());
+    parallel_for(opts.num_threads, graph.node_count(), [&](std::size_t n) {
+      std::vector<std::uint32_t> ents;
+      for (const graph::NodeIndex nb : graph.in_neighbors(n))
+        ents.push_back(graph.entity_of(nb).value());
+      std::sort(ents.begin(), ents.end());
+      ents.insert(ents.begin(), graph.entity_of(n).value());
+      std::uint64_t key = hash_mix(0x0FAC70C5u, ents.size());
+      for (const std::uint32_t e : ents) key = hash_mix(key, e);
+      for (const std::uint32_t ev : ents) {
+        const EntityId e(ev);
+        for (const MetricKindId k : db.metrics().kinds_of(e)) {
+          key = hash_mix(key,
+                         (static_cast<std::uint64_t>(ev) << 32) | k.value());
+          key = hash_mix(key, db.metrics().series_epoch(e, k));
+        }
+      }
+      node_key[n] = hash_mix(key, window_key);
+    });
   }
 
   // One ridge fit per variable, all independent: parallelize over targets.
@@ -250,43 +289,14 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
     const VarIndex target = t;
     if (cacheable) {
       const auto& tvar = space.var(target);
-      std::uint64_t key = hash_mix(0x0FAC70C5u, tvar.entity.value());
-      key = hash_mix(key, tvar.kind.value());
-      // Sorted in-neighbor entity set: equal keys => identical candidate
-      // feature set => identical selection and fit (see FactorCache).
-      std::vector<std::uint32_t> nbrs;
-      for (const graph::NodeIndex nb : graph.in_neighbors(tvar.node))
-        nbrs.push_back(graph.entity_of(nb).value());
-      std::sort(nbrs.begin(), nbrs.end());
-      for (const std::uint32_t e : nbrs) key = hash_mix(key, e);
-      if (opts.epoch_keys) {
-        // Fine-grained invalidation: the fit is a pure function of the
-        // target and candidate-feature histories, so mix the (kind, epoch)
-        // vector of every series the trainer may read — the target entity's
-        // and each sorted in-neighbor's metric kinds. A write to any of them
-        // (or a freshly appearing series) changes the key; everything else
-        // keeps hitting (see FactorTrainingOptions::epoch_keys).
-        const auto mix_entity_series = [&](std::uint32_t ev) {
-          const EntityId e(ev);
-          for (const MetricKindId k : db.metrics().kinds_of(e)) {
-            key = hash_mix(key, (static_cast<std::uint64_t>(ev) << 32) |
-                                    k.value());
-            key = hash_mix(key, db.metrics().series_epoch(e, k));
-          }
-        };
-        mix_entity_series(tvar.entity.value());
-        for (const std::uint32_t e : nbrs) mix_entity_series(e);
-        // Window in the key, not the generation fingerprint (see above).
-        key = hash_mix(key, (static_cast<std::uint64_t>(train_begin) << 32) |
-                                train_end);
-      }
-
+      const std::uint64_t key =
+          hash_mix(node_key[tvar.node], tvar.kind.value());
       bool trained = false;
       // The cached trainer runs with tracing off: WHICH symptom pays the
       // miss is scheduling-dependent, and per-fit spans would make traces
       // vary run to run. Counter totals stay deterministic (misses = unique
       // keys, hits = lookups - misses).
-      const CachedFactor& cf = opts.factor_cache->get_or_train(
+      const CachedFactor& cf = opts.caches->factors().get_or_build(
           key, [&] { return train_target(target, nullptr); }, &trained);
       if (trained) {
         if (c_cache_misses != nullptr) c_cache_misses->add(1);

@@ -18,7 +18,6 @@
 #include "src/core/metric_space.h"
 #include "src/obs/hooks.h"
 #include "src/stats/predictor.h"
-#include "src/stats/window_stats.h"
 
 namespace murphy::core {
 
@@ -108,33 +107,23 @@ struct FactorTrainingOptions {
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   std::uint64_t trace_parent = 0;
-  // Optional training caches (null = train everything locally).
-  //
-  // window_stats: shared per-column moment cache (means/centered columns/
-  // sums of squares); correlations against cached columns are single dot
-  // products. factor_cache: cross-symptom factor reuse — each (entity, kind,
-  // in-neighbor-set) conditional trains once and is shared. Both caches
-  // yield bitwise-identical factors (see their headers for the proofs);
-  // the factor cache only engages for ridge models (stochastic families
-  // seed per VarIndex, which is graph-dependent). The CALLER owns validity:
-  // reset() each cache with a fingerprint of (window, db data version,
-  // options) before training — BatchDiagnoser does this per batch.
-  stats::WindowStats* window_stats = nullptr;
-  FactorCache* factor_cache = nullptr;
-  // Fine-grained cache invalidation for long-running callers (the diagnosis
-  // service, DESIGN.md §9). When set, per-series write epochs
-  // (MetricStore::series_epoch) are mixed into both cache keys: the
-  // WindowStats key covers the one series the column reads, the FactorCache
-  // key covers the target plus every candidate-feature series (the metric
-  // kinds of the target's entity and its sorted in-neighbor entities, so a
-  // freshly appearing series changes the key too), as is the train window
-  // (requests with different windows coexist within one generation). A
-  // streaming append then retires exactly the entries that read the touched
-  // series. The caller must pair this with a generation fingerprint over
-  // MonitoringDb::structural_data_version() — NOT data_version(), which
-  // would still invalidate everything — structural changes and erasures stay
-  // whole-cache resets.
-  bool epoch_keys = false;
+  // Optional training caches (null = train everything locally): the
+  // per-column moment cache (correlations against cached columns are single
+  // dot products) and cross-symptom factor reuse (each (entity, kind,
+  // in-neighbor-set) conditional trains once and is shared; ridge only,
+  // since stochastic families seed per VarIndex, which is graph-dependent).
+  // Both yield bitwise-identical factors (see factor_cache.h for the proof).
+  // Every key mixes in the train window and the write epoch
+  // (MetricStore::series_epoch) of each series the entry reads: the window
+  // stats key covers the one series the column reads, the factor key the
+  // target plus every candidate-feature series (all metric kinds of the
+  // target's entity and of its sorted in-neighbor entities, so a freshly
+  // appearing series changes the key too). A value write therefore retires
+  // exactly the entries that read the touched series, and requests with
+  // different windows coexist. The CALLER owns the rest of validity: call
+  // caches->renew(db, opts) before training (DiagnosisService and
+  // BatchDiagnoser do).
+  TrainingCaches* caches = nullptr;
 };
 
 // Flattened, allocation-free view of the trained conditionals, built once

@@ -1,6 +1,5 @@
 #include "src/service/diagnosis_service.h"
 
-#include <bit>
 #include <utility>
 
 namespace murphy::service {
@@ -44,7 +43,9 @@ std::string_view to_string(RequestStatus s) {
 
 DiagnosisService::DiagnosisService(TelemetryStream& stream,
                                    DiagnosisServiceOptions opts)
-    : stream_(stream), opts_(std::move(opts)) {
+    : stream_(stream),
+      opts_(std::move(opts)),
+      caches_(opts_.cache_max_entries) {
   pool_ = std::make_unique<ThreadPool>(opts_.num_workers);
   if (obs::MetricsRegistry* m = opts_.murphy.obs.metrics) {
     // Register the instruments up front so a STATS snapshot taken before the
@@ -167,24 +168,11 @@ ServiceResponse DiagnosisService::execute(const Pending& p) {
     return resp;
   }
 
-  // Epoch-keyed cache generation (see the file comment in the header): the
-  // fingerprint covers identity + structure + training options, NOT the
-  // data version or the train window — value appends invalidate through
-  // per-series epochs in the keys, and the window rides in the keys too.
-  const core::FactorTrainingOptions& t = opts_.murphy.training;
-  std::uint64_t fp = core::hash_mix(0x5E21BCE5u, db.uid());
-  fp = core::hash_mix(fp, db.structural_data_version());
-  window_stats_.reset(fp);
-  fp = core::hash_mix(fp, t.top_b);
-  fp = core::hash_mix(fp, static_cast<std::uint64_t>(t.model));
-  fp = core::hash_mix(fp, std::bit_cast<std::uint64_t>(t.predictor.l2));
-  fp = core::hash_mix(fp, std::bit_cast<std::uint64_t>(t.recency_half_life));
-  factor_cache_.reset(fp);
-
+  // Renewed under the shared lock: every concurrent worker sees the same
+  // frozen db, hence the same generation (see the file comment).
+  caches_.renew(db, opts_.murphy.training);
   core::MurphyOptions mopts = opts_.murphy;
-  mopts.training.window_stats = &window_stats_;
-  mopts.training.factor_cache = &factor_cache_;
-  mopts.training.epoch_keys = true;
+  mopts.training.caches = &caches_;
   if (p.req.deadline != std::chrono::steady_clock::time_point::max()) {
     const auto deadline = p.req.deadline;
     mopts.cancel = [deadline] {
@@ -220,11 +208,6 @@ ServiceResponse DiagnosisService::execute(const Pending& p) {
 void DiagnosisService::stop() {
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    if (stopping_) {
-      // stop() already ran (or is running in another thread); drain below
-      // is idempotent so falling through would also be fine, but exiting
-      // keeps double-stop cheap.
-    }
     stopping_ = true;
   }
   // Every admitted request has exactly one pool task; drain() completes
@@ -237,8 +220,7 @@ void DiagnosisService::maintain() {
   // ColumnMoments / CachedFactor reference (workers hold the shared lock
   // for their whole run), which is prune()'s precondition.
   TelemetryStream::WriteLock lock = stream_.write();
-  window_stats_.prune(opts_.cache_max_entries);
-  factor_cache_.prune(opts_.cache_max_entries);
+  caches_.prune();
 }
 
 std::size_t DiagnosisService::queue_depth() const {

@@ -104,8 +104,6 @@ class NetServer {
   std::atomic<bool> draining_{false};
   std::atomic<std::size_t> active_{0};
   std::atomic<std::uint64_t> accepted_{0};
-
-  void run_loop();
 };
 
 }  // namespace murphy::service

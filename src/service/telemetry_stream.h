@@ -8,8 +8,8 @@
 // it shared for their whole run, so they always see one consistent db
 // version. Per-series write epochs (MetricStore::series_epoch, bumped by
 // every append) are what make this cheap — the training caches key on them
-// (FactorTrainingOptions::epoch_keys), so an append retires exactly the
-// cache entries that read the touched series instead of the whole cache.
+// (FactorTrainingOptions::caches), so an append retires exactly the cache
+// entries that read the touched series instead of the whole cache.
 //
 // Snapshot/restore rides here too: save_snapshot under the shared lock
 // (consistent cut, concurrent with diagnoses), restore under the exclusive
@@ -57,8 +57,8 @@ class TelemetryStream {
   TelemetryStream& operator=(const TelemetryStream&) = delete;
 
   // RAII shared-lock view of the db. Diagnoses hold one across their whole
-  // run: the data version (and therefore every cache fingerprint input)
-  // cannot change while it is live.
+  // run: the data version (and therefore every cache key and generation
+  // input) cannot change while it is live.
   class ReadLock {
    public:
     [[nodiscard]] const telemetry::MonitoringDb& operator*() const {

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/obs/metrics.h"
-#include "src/stats/correlation.h"
 #include "src/stats/summary.h"
 
 namespace murphy::stats {
@@ -41,114 +40,6 @@ ColumnMoments build_column_moments(std::vector<double> values) {
   m.sxx = sxx;
   m.sigma = n < 2 ? 0.0 : std::sqrt(sxx / static_cast<double>(n - 1));
   return m;
-}
-
-namespace {
-
-// Centers `col` in place-style into (centered, mean, sxx), with the
-// accumulation order of pearson() on that column.
-void center_column(const std::vector<double>& col,
-                   std::vector<double>& centered, double& mean_out,
-                   double& sxx_out) {
-  const double mu = stats::mean(col);
-  centered.resize(col.size());
-  for (std::size_t i = 0; i < col.size(); ++i) centered[i] = col[i] - mu;
-  double sxx = 0.0;
-  for (std::size_t i = 0; i < col.size(); ++i)
-    sxx += centered[i] * centered[i];
-  mean_out = mu;
-  sxx_out = sxx;
-}
-
-}  // namespace
-
-void WindowStats::reset(std::uint64_t fingerprint) {
-  std::unique_lock lock(mu_);
-  if (fingerprint == fingerprint_ && !columns_.empty()) return;
-  columns_.clear();
-  fingerprint_ = fingerprint;
-}
-
-WindowStats::Entry& WindowStats::entry_for(std::uint64_t key) {
-  {
-    std::shared_lock lock(mu_);
-    if (const auto it = columns_.find(key); it != columns_.end())
-      return *it->second;
-  }
-  std::unique_lock lock(mu_);
-  auto& slot = columns_[key];
-  if (slot == nullptr) slot = std::make_unique<Entry>();
-  return *slot;
-}
-
-const ColumnMoments& WindowStats::get_or_build(std::uint64_t key,
-                                               const Loader& loader) {
-  Entry& e = entry_for(key);
-  bool built = false;
-  std::call_once(e.base_once, [&] {
-    e.moments = build_column_moments(loader());
-    built = true;
-  });
-  (built ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
-  static obs::Counter* const c_hits =
-      obs::global_metrics().counter("cache.window_hits");
-  static obs::Counter* const c_misses =
-      obs::global_metrics().counter("cache.window_misses");
-  (built ? c_misses : c_hits)->add(1);
-  return e.moments;
-}
-
-const ColumnMoments& WindowStats::with_ranks(std::uint64_t key,
-                                             const Loader& loader) {
-  Entry& e = entry_for(key);
-  std::call_once(e.base_once, [&] {
-    e.moments = build_column_moments(loader());
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  });
-  std::call_once(e.rank_once, [&] {
-    center_column(midranks(e.moments.values), e.moments.rank_centered,
-                  e.moments.rank_mean, e.moments.rank_sxx);
-  });
-  return e.moments;
-}
-
-const ColumnMoments& WindowStats::with_abnormality(std::uint64_t key,
-                                                   const Loader& loader) {
-  Entry& e = entry_for(key);
-  std::call_once(e.base_once, [&] {
-    e.moments = build_column_moments(loader());
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  });
-  std::call_once(e.abn_once, [&] {
-    // The |z|-score column of abnormality_correlation(), with its exact
-    // mean/stddev inputs (mean is cached verbatim; sigma reproduces
-    // stddev() bitwise from sxx).
-    const auto& v = e.moments.values;
-    std::vector<double> abn(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i)
-      abn[i] = std::abs(stats::zscore(v[i], e.moments.mean, e.moments.sigma));
-    center_column(abn, e.moments.abn_centered, e.moments.abn_mean,
-                  e.moments.abn_sxx);
-  });
-  return e.moments;
-}
-
-std::size_t WindowStats::size() const {
-  std::shared_lock lock(mu_);
-  return columns_.size();
-}
-
-void WindowStats::prune(std::size_t max_entries) {
-  std::unique_lock lock(mu_);
-  if (columns_.size() > max_entries) columns_.clear();
-}
-
-std::uint64_t WindowStats::hits() const {
-  return hits_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t WindowStats::misses() const {
-  return misses_.load(std::memory_order_relaxed);
 }
 
 }  // namespace murphy::stats

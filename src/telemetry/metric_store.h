@@ -93,14 +93,13 @@ class MetricStore {
 
   // Monotonic data version: bumped by every mutation path, including
   // find_mutable() (conservatively — the caller may write through the
-  // pointer). Caches keyed on (window, version) use this to detect staleness
-  // without diffing series.
+  // pointer), so any mutation is detectable without diffing series.
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
   // Structural subset of version(): bumped only by mutations that change
   // WHICH series exist or how they are read (axis replacement, erase paths),
-  // never by value writes to an existing or fresh series. The long-running
-  // service keys its cache generation on this plus per-series epochs, so a
+  // never by value writes to an existing or fresh series. The training
+  // caches key their generation on this plus per-series epochs, so a
   // streaming append invalidates only the entries that read the touched
   // series instead of the whole cache (DESIGN.md §9).
   [[nodiscard]] std::uint64_t structural_version() const {

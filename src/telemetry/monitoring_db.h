@@ -40,10 +40,11 @@ struct AppInfo {
   std::vector<EntityId> members;
 };
 
-// Process-unique monotonic database identity, used by training caches to
-// fingerprint the db they were built against. An address-based identity
-// suffers ABA: a freed-and-reallocated db at the same address with a
-// coincidentally equal data_version() false-hits and serves stale factors.
+// Process-unique monotonic database identity, used by the training caches'
+// generation to name the db they were built against. An address-based
+// identity suffers ABA: a freed-and-reallocated db at the same address with
+// coincidentally equal versions and series epochs false-hits and serves
+// stale factors.
 // DbUid draws from a global monotonic counter and keeps uniqueness through
 // value semantics: a copy gets a fresh id (copies may diverge while their
 // version counters coincide), a move transfers the id and re-keys the
@@ -91,8 +92,8 @@ class MonitoringDb {
   // Monotonic version of everything diagnosis-relevant: entity/association
   // structure (bumped by the population and degradation mutators here) plus
   // the metric data (the store's own version, which also covers mutable
-  // series access). Training caches compare this against the version they
-  // were built at; any mutation anywhere invalidates them.
+  // series access). Any mutation anywhere moves it; the service reports it
+  // as the db version a diagnosis ran at.
   [[nodiscard]] std::uint64_t data_version() const {
     return structural_version_ + metrics_.version();
   }
@@ -100,15 +101,16 @@ class MonitoringDb {
   // Structural slice of data_version(): entity/association mutations plus
   // the store's structural changes (axis swap, series erasure) — but NOT
   // value writes, which are tracked per series by MetricStore::series_epoch.
-  // The long-running service keys its cache generation on this, so streaming
-  // appends leave the generation intact and retire only the epoch-keyed
-  // entries that read the touched series (DESIGN.md §9).
+  // The training caches key their generation on this, so streaming appends
+  // leave the generation intact and retire only the entries whose keys
+  // carry the touched series' epoch (DESIGN.md §9).
   [[nodiscard]] std::uint64_t structural_data_version() const {
     return structural_version_ + metrics_.structural_version();
   }
 
-  // Process-unique identity of this db object (see DbUid). Cache
-  // fingerprints chain (uid, data_version) — never the object's address.
+  // Process-unique identity of this db object (see DbUid). The cache
+  // generation chains (uid, structural_data_version) — never the object's
+  // address.
   [[nodiscard]] std::uint64_t uid() const { return uid_.value(); }
 
   // --- queries (used by Murphy and the baselines) ---------------------------

@@ -15,6 +15,7 @@
 #include "src/core/batch.h"
 #include "src/core/murphy.h"
 #include "src/eval/matrix.h"
+#include "src/obs/metrics.h"
 
 namespace murphy {
 namespace {
@@ -235,44 +236,222 @@ TEST(Determinism, BatchMergedBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
+void expect_batch_bitwise_equal(const core::BatchResult& x,
+                                const core::BatchResult& y) {
+  ASSERT_EQ(x.merged.size(), y.merged.size());
+  for (std::size_t i = 0; i < x.merged.size(); ++i) {
+    EXPECT_EQ(x.merged[i].entity, y.merged[i].entity) << "merged " << i;
+    EXPECT_EQ(x.merged[i].score, y.merged[i].score) << "merged " << i;
+  }
+  ASSERT_EQ(x.per_symptom.size(), y.per_symptom.size());
+  for (std::size_t s = 0; s < x.per_symptom.size(); ++s) {
+    SCOPED_TRACE("symptom " + std::to_string(s));
+    expect_bitwise_equal(x.per_symptom[s], y.per_symptom[s]);
+  }
+}
+
 TEST(Determinism, SharedTrainingCachesDoNotChangeBatchBits) {
-  // The cross-symptom factor cache must be a pure wall-clock optimization:
-  // with sharing on (default) the merged ranking and every per-symptom
-  // result carry the exact bits the unshared engine produces, at any thread
-  // count. The chain symptoms' 4-hop graphs all cover the same four nodes,
-  // so the second and third symptoms are served almost entirely from cache.
+  // The batch's cross-symptom training caches must be a pure wall-clock
+  // optimization: the merged ranking and every per-symptom result carry
+  // the exact bits of uncached per-symptom diagnoses fused by reciprocal
+  // rank, at any thread count. The chain symptoms' 4-hop graphs all cover
+  // the same four nodes, so the second and third symptoms are served
+  // almost entirely from cache.
   const auto env = make_chain_env();
   const std::vector<core::Symptom> symptoms{
       core::Symptom{env.d, "cpu_util", 0.0, 5.0},
       core::Symptom{env.c, "cpu_util", 0.0, 4.0},
       core::Symptom{env.b, "cpu_util", 0.0, 3.0},
   };
+  core::BatchOptions bopts;
+  bopts.murphy.sampler.num_samples = 80;
 
-  auto run = [&](bool share, std::size_t threads) {
-    core::BatchOptions bopts;
-    bopts.share_training = share;
-    bopts.murphy.sampler.num_samples = 80;
+  core::BatchResult uncached;
+  uncached.symptoms = symptoms;
+  for (const core::Symptom& symptom : symptoms) {
+    core::MurphyDiagnoser murphy(bopts.murphy);
+    core::DiagnosisRequest req;
+    req.db = &env.db;
+    req.symptom_entity = symptom.entity;
+    req.symptom_metric = symptom.metric;
+    req.now = 199;
+    req.train_begin = 0;
+    req.train_end = 200;
+    uncached.per_symptom.push_back(murphy.diagnose(req));
+  }
+  uncached.merged = core::fuse_reciprocal_rank(
+      symptoms, uncached.per_symptom, bopts.per_symptom_top_k);
+  ASSERT_FALSE(uncached.merged.empty());
+
+  for (const std::size_t threads : {1u, 8u}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
     bopts.murphy.num_threads = threads;
     core::BatchDiagnoser batch(bopts);
-    return batch.diagnose_symptoms(env.db, symptoms, 199, 0, 200);
+    expect_batch_bitwise_equal(
+        uncached, batch.diagnose_symptoms(env.db, symptoms, 199, 0, 200));
+  }
+}
+
+// ---------- training caches ------------------------------------------------
+
+TEST(TrainingCaches, ValueWriteRetrainsOnlyFactorsThatReadTheSeries) {
+  // A BatchDiagnoser reused across a streamed value keeps every factor
+  // whose inputs did not change: the write to A's series retires A's factor
+  // and its graph neighbor B's (which scores A's series as a candidate),
+  // while C's and D's keep hitting. The reused result is bitwise the
+  // result of a fresh diagnoser.
+  auto env = make_chain_env();
+  const std::vector<core::Symptom> symptoms{
+      core::Symptom{env.d, "cpu_util", 0.0, 5.0},
+      core::Symptom{env.c, "cpu_util", 0.0, 4.0},
+  };
+  obs::MetricsRegistry registry;
+  core::BatchOptions bopts;
+  bopts.murphy.sampler.num_samples = 80;
+  bopts.murphy.num_threads = 1;
+  bopts.murphy.obs.metrics = &registry;
+  core::BatchDiagnoser batch(bopts);
+  (void)batch.diagnose_symptoms(env.db, symptoms, 199, 0, 200);
+  const obs::Counter* misses = registry.find_counter("cache.factor_misses");
+  ASSERT_NE(misses, nullptr);
+  const std::uint64_t unique = misses->value();
+  ASSERT_GT(unique, 0u);
+
+  env.db.metrics().upsert_cell(env.a, env.load, 150, 42.0);
+  const auto reused = batch.diagnose_symptoms(env.db, symptoms, 199, 0, 200);
+  const std::uint64_t retrained = misses->value() - unique;
+  EXPECT_GT(retrained, 0u);
+  EXPECT_LT(retrained, unique);
+
+  bopts.murphy.obs.metrics = nullptr;
+  core::BatchDiagnoser fresh(bopts);
+  expect_batch_bitwise_equal(
+      fresh.diagnose_symptoms(env.db, symptoms, 199, 0, 200), reused);
+}
+
+TEST(TrainingCaches, ReusedBatchDiagnoserStaysWithinPruneBound) {
+  // Stale entries expire by key change, not by generation reset, so only
+  // the per-call prune keeps a long-lived BatchDiagnoser's memory bounded.
+  // A star of 64 entities x 8 metrics, every series written once per round:
+  // each round re-keys all 512 window columns and factors, so without the
+  // prune both caches would grow by 512 entries per round forever.
+  constexpr std::size_t kLeaves = 63, kKinds = 8, kSlices = 60;
+  constexpr TimeIndex kWindow = 40;
+  MonitoringDb db;
+  db.metrics().set_axis(TimeAxis(0.0, 10.0, kSlices));
+  std::vector<EntityId> entities{db.add_entity(EntityType::kVm, "hub")};
+  for (std::size_t i = 0; i < kLeaves; ++i) {
+    entities.push_back(
+        db.add_entity(EntityType::kVm, "leaf" + std::to_string(i)));
+    db.add_association(entities.back(), entities[0], RelationKind::kGeneric);
+  }
+  std::vector<MetricKindId> kinds;
+  for (std::size_t k = 0; k < kKinds; ++k)
+    kinds.push_back(db.catalog().intern("m" + std::to_string(k)));
+  Rng rng(3);
+  for (const EntityId e : entities)
+    for (const MetricKindId k : kinds) {
+      std::vector<double> v(kSlices);
+      for (double& x : v) x = 10.0 + rng.normal(0.0, 1.0);
+      db.metrics().put(e, k, std::move(v));
+    }
+
+  core::BatchOptions bopts;
+  bopts.murphy.sampler.num_samples = 10;
+  bopts.murphy.search.max_candidates = 1;  // training is what this measures
+  bopts.murphy.num_threads = 1;
+  core::BatchDiagnoser batch(bopts);
+  core::TrainingCaches& caches = batch.caches();
+  const std::vector<core::Symptom> symptoms{
+      core::Symptom{entities[0], "m0", 0.0, 5.0}};
+  constexpr std::size_t kRounds = 20;
+  std::size_t working_set = 0;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (const EntityId e : entities)
+      for (const MetricKindId k : kinds)
+        db.metrics().upsert_cell(e, k, kWindow - 1, rng.normal(10.0, 1.0));
+    (void)batch.diagnose_symptoms(db, symptoms, kWindow, 0, kWindow);
+    if (round == 0) working_set = caches.factors().size();
+    SCOPED_TRACE("round " + std::to_string(round));
+    EXPECT_LE(caches.window_stats().size(),
+              caches.max_entries() + working_set);
+    EXPECT_LE(caches.factors().size(), caches.max_entries() + working_set);
+  }
+  EXPECT_EQ(working_set, entities.size() * kinds.size());
+  ASSERT_GT(kRounds * working_set, caches.max_entries() + working_set);
+}
+
+TEST(TrainingCaches, ConcurrentRenewAgainstOneDbStateKeepsEntries) {
+  // The service's pattern (TSan target): every worker renews the generation
+  // under the stream's shared lock, then trains. Renewals against one
+  // frozen db agree on the generation, so none of them empties the caches
+  // under another worker's references: each key builds exactly once.
+  const auto env = make_chain_env(40);
+  core::TrainingCaches caches;
+  const core::FactorTrainingOptions topts;
+  std::atomic<std::size_t> builds{0};
+  parallel_for(8, 64, [&](std::size_t i) {
+    caches.renew(env.db, topts);
+    const double tag = static_cast<double>(i % 8);
+    const stats::ColumnMoments& m =
+        caches.window_stats().get_or_build(i % 8, [&] {
+          builds.fetch_add(1);
+          return stats::build_column_moments({tag, 1.0});
+        });
+    EXPECT_EQ(m.values[0], tag);
+  });
+  EXPECT_EQ(builds.load(), 8u);
+  EXPECT_EQ(caches.window_stats().size(), 8u);
+}
+
+TEST(TrainingCaches, GenerationResetsOnStructureIdentityAndOptions) {
+  // The generation covers what the cache keys do not: a structural change,
+  // a distinct db (fresh uid) and a training-option change each empty both
+  // caches. A value write does not — it re-keys only the entries that read
+  // the written series, so unrelated entries survive.
+  auto env = make_chain_env(40);
+  core::TrainingCaches caches;
+  const core::FactorTrainingOptions topts;
+  std::size_t loads = 0;
+  const auto lookup = [&] {
+    (void)caches.window_stats().get_or_build(7, [&] {
+      ++loads;
+      return stats::build_column_moments({1.0, 2.0, 3.0});
+    });
+    (void)caches.factors().get_or_build(7, [] { return core::CachedFactor{}; });
   };
 
-  const auto unshared = run(false, 1);
-  ASSERT_FALSE(unshared.merged.empty());
-  for (const std::size_t threads : {1u, 8u}) {
-    const auto shared = run(true, threads);
-    SCOPED_TRACE("num_threads=" + std::to_string(threads));
-    ASSERT_EQ(unshared.merged.size(), shared.merged.size());
-    for (std::size_t i = 0; i < unshared.merged.size(); ++i) {
-      EXPECT_EQ(unshared.merged[i].entity, shared.merged[i].entity);
-      EXPECT_EQ(unshared.merged[i].score, shared.merged[i].score);
-    }
-    ASSERT_EQ(unshared.per_symptom.size(), shared.per_symptom.size());
-    for (std::size_t s = 0; s < unshared.per_symptom.size(); ++s) {
-      SCOPED_TRACE("symptom " + std::to_string(s));
-      expect_bitwise_equal(unshared.per_symptom[s], shared.per_symptom[s]);
-    }
-  }
+  caches.renew(env.db, topts);
+  lookup();
+  lookup();
+  EXPECT_EQ(loads, 1u);  // second lookup hits
+  EXPECT_EQ(caches.window_stats().misses(), 1u);
+  EXPECT_EQ(caches.window_stats().hits(), 1u);
+
+  caches.renew(env.db, topts);  // same generation: cache survives
+  env.db.metrics().upsert_cell(env.a, env.load, 10, 99.0);
+  caches.renew(env.db, topts);  // value write: cache survives
+  lookup();
+  EXPECT_EQ(loads, 1u);
+
+  env.db.add_entity(EntityType::kVm, "E");  // structural change
+  caches.renew(env.db, topts);
+  EXPECT_EQ(caches.factors().size(), 0u);
+  lookup();
+  EXPECT_EQ(loads, 2u);
+
+  const MonitoringDb copy = env.db;  // equal contents, fresh uid
+  caches.renew(copy, topts);
+  EXPECT_EQ(caches.factors().size(), 0u);
+  lookup();
+  EXPECT_EQ(loads, 3u);
+
+  core::FactorTrainingOptions other = topts;
+  other.top_b = 5;
+  caches.renew(copy, other);
+  EXPECT_EQ(caches.factors().size(), 0u);
+  lookup();
+  EXPECT_EQ(loads, 4u);
 }
 
 TEST(Determinism, HardwareDefaultMatchesSerial) {

@@ -110,6 +110,29 @@ std::unique_ptr<ProtoEnv> make_proto_env(std::size_t slices,
   return env;
 }
 
+// Holds a service worker inside a request's completion hook until
+// release(), so requests submitted meanwhile deterministically queue behind
+// it however fast the diagnosis itself runs. Releases on destruction too
+// (declare it after the env, so it is destroyed first): a failed assertion
+// must not leave the worker held while the service drains.
+struct WorkerPlug {
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  bool released = false;
+
+  void hold(ServiceRequest& req) {
+    req.on_complete = [opened = opened](const ServiceResponse&) {
+      opened.wait();
+    };
+  }
+  void release() {
+    if (released) return;
+    released = true;
+    gate.set_value();
+  }
+  ~WorkerPlug() { release(); }
+};
+
 // Blocking dispatch, murphyd's stdio mode: one line in, one response out.
 std::string stdio_dispatch(ProtoEnv& env, const std::string& line) {
   std::string out = "<no response>";
@@ -381,7 +404,9 @@ TEST(NetServerTest, PipelinedDiagnosesCompleteOutOfOrder) {
 
   // Occupy the single worker so the pipelined DIAGNOSE below must queue —
   // its completion deterministically lands after the immediate STATS.
+  WorkerPlug worker_plug;
   ServiceRequest plug;
+  worker_plug.hold(plug);
   {
     const auto db = env->stream->read();
     plug.symptom_entity = db->find_entity("D");
@@ -403,6 +428,7 @@ TEST(NetServerTest, PipelinedDiagnosesCompleteOutOfOrder) {
   c.send_all("#slow DIAGNOSE D cpu_util\n#fast STATS\n");
   const std::string first = c.read_line();
   EXPECT_EQ(first.substr(0, 16), "#fast OK slices=");
+  worker_plug.release();
   plug_fut.get();
   const std::string second = c.read_line();
   EXPECT_EQ(second.substr(0, 12), "#slow OK id=");
@@ -419,7 +445,9 @@ TEST(NetServerTest, PerConnectionInflightLimitRejects) {
 
   // Plug the single worker so the pipelined DIAGNOSEs below cannot start,
   // making the in-flight window deterministic.
+  WorkerPlug worker_plug;
   ServiceRequest plug;
+  worker_plug.hold(plug);
   {
     const auto db = env->stream->read();
     plug.symptom_entity = db->find_entity("D");
@@ -448,6 +476,7 @@ TEST(NetServerTest, PerConnectionInflightLimitRejects) {
                   " ERR rejected_conn_inflight_full (in_flight 2 limit 2)");
   }
   // Once the plug finishes, the two admitted requests complete fine.
+  worker_plug.release();
   plug_fut.get();
   std::vector<std::string> done{c.read_line(), c.read_line()};
   for (const std::string& resp : done) {

@@ -627,45 +627,5 @@ TEST(WindowStats, DegenerateColumnsMatchUncachedConventions) {
             0.0);
 }
 
-TEST(WindowStats, RankAndAbnormalityKernelsMatchUncached) {
-  const auto [x, y] = make_test_columns();
-  WindowStats ws;
-  ws.reset(1);
-  const ColumnMoments& mx = ws.with_ranks(1, [&] { return x; });
-  const ColumnMoments& my = ws.with_ranks(2, [&] { return y; });
-  EXPECT_EQ(pearson_centered(mx.rank_centered, mx.rank_sxx, mx.rank_mean,
-                             my.rank_centered, my.rank_sxx, my.rank_mean),
-            spearman(x, y));
-  const ColumnMoments& ax = ws.with_abnormality(1, [&] { return x; });
-  const ColumnMoments& ay = ws.with_abnormality(2, [&] { return y; });
-  EXPECT_EQ(pearson_centered(ax.abn_centered, ax.abn_sxx, ax.abn_mean,
-                             ay.abn_centered, ay.abn_sxx, ay.abn_mean),
-            abnormality_correlation(x, y));
-}
-
-TEST(WindowStats, GenerationResetInvalidatesOnWindowShift) {
-  WindowStats ws;
-  ws.reset(/*fingerprint=*/10);
-  std::size_t loads = 0;
-  const auto loader = [&] {
-    ++loads;
-    return std::vector<double>{1.0, 2.0, 3.0};
-  };
-  (void)ws.get_or_build(7, loader);
-  (void)ws.get_or_build(7, loader);
-  EXPECT_EQ(loads, 1u);  // second lookup hits
-  EXPECT_EQ(ws.misses(), 1u);
-  EXPECT_EQ(ws.hits(), 1u);
-
-  ws.reset(10);  // same generation: cache survives
-  (void)ws.get_or_build(7, loader);
-  EXPECT_EQ(loads, 1u);
-
-  ws.reset(11);  // window shifted (or data version bumped): cache dropped
-  (void)ws.get_or_build(7, loader);
-  EXPECT_EQ(loads, 2u);
-  EXPECT_EQ(ws.fingerprint(), 11u);
-}
-
 }  // namespace
 }  // namespace murphy::stats

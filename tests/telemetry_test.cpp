@@ -163,8 +163,9 @@ TEST_F(MonitoringDbTest, MetricEraseSingleKind) {
 }
 
 TEST_F(MonitoringDbTest, DataVersionBumpsOnEveryMutation) {
-  // The training caches key their generation on data_version(); every
-  // mutation that can change what a training window would read must move it.
+  // The service reports data_version() as the db version a diagnosis ran
+  // at; every mutation that can change what a training window would read
+  // must move it.
   std::uint64_t last = db_.data_version();
   const auto bumped = [&] {
     const std::uint64_t now = db_.data_version();
