@@ -1,12 +1,13 @@
-// Statistical-equivalence gate for the vectorized fast-inference mode
+// Statistical-equivalence gate for the exact fast-inference mode
 // (DESIGN.md §11).
 //
-// The fast path abandons the bitwise contract (different normal generator,
-// draw order and summation order than the scalar golden), so its correctness
-// claim is statistical: on the same workloads it must produce the same
-// DIAGNOSES. This harness runs Murphy scalar-vs-fast over (a) the Table-1
-// enterprise incidents and (b) a battle-matrix smoke slice of generated
-// topology cases, and enforces three gates:
+// The fast path abandons the bitwise contract (it computes the closed-form
+// n -> infinity limit of the scalar sampler's estimator instead of drawing
+// samples), so its correctness claim is statistical: on the same workloads
+// it must produce the same DIAGNOSES. This harness runs Murphy
+// scalar-vs-fast over (a) the Table-1 enterprise incidents and (b) a
+// battle-matrix smoke slice of generated topology cases, and enforces three
+// gates:
 //   1. identical top-1 root cause per case;
 //   2. identical top-3 ranking per case;
 //   3. a two-sided Welch t-test over the per-candidate counterfactual score

@@ -200,35 +200,16 @@ int main() {
               "and saturates near W=4 (cyclic effects are real and Gibbs "
               "re-visits propagate them)\n");
 
-  // --- scalar vs fast Gibbs kernel (DESIGN.md §11) --------------------------
-  // The Gibbs resample loop is where Murphy spends ~97% of end-to-end time.
-  // Two microbenches: the normal generator alone (the ~60-cycle scalar
-  // floor PR 3 identified vs the batched ziggurat), then full counterfactual
-  // evaluations over this dataset's scenarios in both modes.
+  // --- scalar vs exact inference kernel (DESIGN.md §11) --------------------
+  // Full counterfactual evaluations over this dataset's scenarios, scalar
+  // Monte-Carlo vs the opt-in exact path.
   {
-    std::printf("scalar vs fast inference kernels:\n");
-    constexpr std::size_t kDraws = 4'000'000;
-    Rng scalar_rng(42), fast_rng(42);
-    double sink = 0.0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < kDraws; ++i) sink += scalar_rng.normal();
-    const auto t1 = std::chrono::steady_clock::now();
-    std::vector<double> block(256);
-    for (std::size_t i = 0; i < kDraws; i += block.size()) {
-      fast_rng.fill_normal(block);
-      sink += block[0];
-    }
-    const auto t2 = std::chrono::steady_clock::now();
+    std::printf("scalar vs exact inference kernels:\n");
     const auto ms = [](auto a, auto b) {
       return std::chrono::duration<double, std::milli>(b - a).count();
     };
-    const double scalar_rate = kDraws / ms(t0, t1) / 1e3;  // Mdraws/s
-    const double fast_rate = kDraws / ms(t1, t2) / 1e3;
-    std::printf("  normal draws: scalar polar %.1f Mdraws/s, batched "
-                "ziggurat %.1f Mdraws/s (%.2fx)  [sink %g]\n",
-                scalar_rate, fast_rate, fast_rate / scalar_rate, sink);
 
-    // Full kernel: evaluate flow -> backend-VM counterfactuals per scenario.
+    // Evaluate flow -> backend-VM counterfactuals per scenario.
     double eval_ms[2] = {0.0, 0.0};
     std::size_t agree = 0, evals = 0;
     std::vector<bool> scalar_verdicts;
@@ -260,13 +241,11 @@ int main() {
     }
     const double kernel_speedup =
         eval_ms[1] > 0.0 ? eval_ms[0] / eval_ms[1] : 0.0;
-    std::printf("  gibbs evaluate: scalar %.1f ms, fast %.1f ms (%.2fx), "
+    std::printf("  evaluate: scalar %.1f ms, exact %.1f ms (%.2fx), "
                 "verdict agreement %zu/%zu\n\n",
                 eval_ms[0], eval_ms[1], kernel_speedup, agree, evals);
 
     auto* m = &obs::global_metrics();
-    m->gauge("bench.normal_scalar_mdraws_s")->set(scalar_rate);
-    m->gauge("bench.normal_fast_mdraws_s")->set(fast_rate);
     m->gauge("bench.gibbs_scalar_ms")->set(eval_ms[0]);
     m->gauge("bench.gibbs_fast_ms")->set(eval_ms[1]);
     m->gauge("bench.gibbs_fast_speedup")->set(kernel_speedup);

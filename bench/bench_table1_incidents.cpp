@@ -97,14 +97,15 @@ int main() {
               "netmedic/explainit at comparable recall (paper: 4.7x / 6.6x); "
               "schemes' recall within a similar band (paper: 0.53-0.56)\n");
 
-  // --- scalar vs fast inference (DESIGN.md §11) ----------------------------
+  // --- scalar vs exact inference (DESIGN.md §11) ---------------------------
   // Re-runs Murphy alone over the 13 incidents in both modes and reports the
-  // per-phase split. Inference is ~97% of end-to-end time, so this is where
-  // the vectorized kernel must show up; the modes' verdict agreement is
-  // gated separately by bench_fast_equivalence.
-  std::printf("\nscalar vs fast counterfactual inference (murphy only):\n");
+  // per-phase split, plus each mode's ground-truth top-3 hits (top-1
+  // agreement between the modes can hold while the answers move). The
+  // modes' verdict agreement is gated separately by bench_fast_equivalence.
+  std::printf("\nscalar vs exact counterfactual inference (murphy only):\n");
   double infer_ms[2] = {0.0, 0.0};
   double total_ms[2] = {0.0, 0.0};
+  std::size_t top3_hits[2] = {0, 0};
   std::size_t top1_agree = 0;
   std::vector<EntityId> scalar_top1(dataset.size(), EntityId(0));
   for (const bool fast : {false, true}) {
@@ -115,6 +116,8 @@ int main() {
       const auto r = murphy.diagnose(eval::request_for(dataset[i]));
       infer_ms[fast ? 1 : 0] += r.timings.inference_ms;
       total_ms[fast ? 1 : 0] += r.timings.total_ms;
+      if (eval::score_result(r, dataset[i].ground_truth).hit(3))
+        ++top3_hits[fast ? 1 : 0];
       const EntityId top1 = r.causes.empty() ? EntityId(0)
                                              : r.causes.front().entity;
       if (!fast)
@@ -138,6 +141,8 @@ int main() {
   std::printf("top-1 agreement: %zu/%zu incidents "
               "(gate: bench_fast_equivalence)\n",
               top1_agree, dataset.size());
+  std::printf("ground-truth top-3 hits: scalar %zu/%zu, fast %zu/%zu\n",
+              top3_hits[0], dataset.size(), top3_hits[1], dataset.size());
 
   auto* m = &obs::global_metrics();
   m->gauge("bench.scalar_inference_ms")->set(infer_ms[0]);
@@ -147,6 +152,8 @@ int main() {
   m->gauge("bench.fast_total_ms")->set(total_ms[1]);
   m->gauge("bench.fast_total_speedup")->set(total_speedup);
   m->gauge("bench.fast_top1_agree")->set(static_cast<double>(top1_agree));
+  m->gauge("bench.scalar_top3_hits")->set(static_cast<double>(top3_hits[0]));
+  m->gauge("bench.fast_top3_hits")->set(static_cast<double>(top3_hits[1]));
 
   murphy::bench::write_bench_json("table1_incidents");
   return 0;

@@ -39,8 +39,8 @@ inline std::size_t scaled(std::size_t quick, std::size_t full) {
   return full_scale() ? full : quick;
 }
 
-// MURPHY_FAST_INFERENCE=1 runs every make_schemes() Murphy instance with the
-// vectorized counterfactual kernel (MurphyOptions::fast_inference). The mode
+// MURPHY_FAST_INFERENCE=1 runs every make_schemes() Murphy instance with
+// exact counterfactual inference (MurphyOptions::fast_inference). The mode
 // is stamped into the BENCH_*.json header alongside num_threads/build_flags
 // so fast and scalar baselines can never be silently compared.
 inline bool fast_inference_env() {

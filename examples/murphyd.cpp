@@ -45,7 +45,8 @@
 //           --unix PATH (unix-domain listener)
 //           --net-inflight N --net-max-conns N (per-connection/server caps)
 //           --watchdog --marker-every N --audit-out FILE
-//           --fast-inference (vectorized counterfactual kernel, DESIGN.md §11)
+//           --fast-inference (exact closed-form counterfactual inference on
+//             all-ridge paths, DESIGN.md §11)
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -214,7 +215,7 @@ int main(int argc, char** argv) {
   sopts.num_workers = args.workers;
   sopts.max_queue = args.queue;
   sopts.murphy.num_threads = 1;  // concurrency comes from the worker pool
-  // Vectorized counterfactual inference (statistical-equivalence contract;
+  // Exact counterfactual inference (statistical-equivalence contract;
   // audits and the infer.fast_path counter record the mode per verdict).
   sopts.murphy.fast_inference = args.fast_inference;
   sopts.murphy.obs.metrics = &obs::global_metrics();

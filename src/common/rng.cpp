@@ -41,75 +41,4 @@ double Rng::exponential(double rate) {
 
 Rng Rng::fork() { return Rng((*this)() ^ 0xD1B54A32D192ED03ULL); }
 
-namespace {
-
-// 128-layer ziggurat tables for the standard normal (Marsaglia & Tsang,
-// Doornik's formulation). Computed once at first use; the values depend on
-// libm's exp/log/sqrt, which is fine — fill_normal backs the fast-inference
-// mode whose contract is statistical equivalence, not cross-platform bitwise
-// identity (that remains Rng::normal()'s job).
-struct ZigguratTables {
-  static constexpr int kLayers = 128;
-  static constexpr double kR = 3.442619855899;       // rightmost layer edge
-  static constexpr double kV = 9.91256303526217e-3;  // layer area
-  double x[kLayers + 1];  // layer x-coordinates, x[0] widest
-  double r[kLayers];      // x[i+1]/x[i]: accept threshold per layer
-  double y[kLayers + 1];  // exp(-x[i]^2/2): wedge rejection bounds
-
-  ZigguratTables() {
-    double f = std::exp(-0.5 * kR * kR);
-    x[0] = kV / f;
-    x[1] = kR;
-    x[kLayers] = 0.0;
-    for (int i = 2; i < kLayers; ++i) {
-      x[i] = std::sqrt(-2.0 * std::log(kV / x[i - 1] + f));
-      f = std::exp(-0.5 * x[i] * x[i]);
-    }
-    for (int i = 0; i < kLayers; ++i) r[i] = x[i + 1] / x[i];
-    for (int i = 0; i <= kLayers; ++i) y[i] = std::exp(-0.5 * x[i] * x[i]);
-  }
-};
-
-const ZigguratTables& ziggurat() {
-  static const ZigguratTables tables;
-  return tables;
-}
-
-}  // namespace
-
-void Rng::fill_normal(std::span<double> out) {
-  const ZigguratTables& z = ziggurat();
-  for (double& slot : out) {
-    for (;;) {
-      const std::uint64_t bits = (*this)();
-      const int layer = static_cast<int>(bits & 0x7F);
-      // Signed uniform in (-1, 1) from the top 53 bits (sign + 52 magnitude).
-      const double u =
-          static_cast<double>(static_cast<std::int64_t>(bits) >> 11) *
-          0x1.0p-52;
-      if (std::abs(u) < z.r[layer]) {  // ~97.7%: inside the sub-rectangle
-        slot = u * z.x[layer];
-        break;
-      }
-      if (layer == 0) {
-        // Tail beyond kR: Marsaglia's exact tail algorithm.
-        double tx, ty;
-        do {
-          tx = -std::log(1.0 - uniform()) / ZigguratTables::kR;
-          ty = -std::log(1.0 - uniform());
-        } while (ty + ty < tx * tx);
-        slot = u < 0.0 ? -(ZigguratTables::kR + tx) : ZigguratTables::kR + tx;
-        break;
-      }
-      // Wedge: accept against the density between the layer bounds.
-      const double cand = u * z.x[layer];
-      if (z.y[layer + 1] + (z.y[layer] - z.y[layer + 1]) * uniform() <
-          std::exp(-0.5 * cand * cand)) {
-        slot = cand;
-        break;
-      }
-    }
-  }
-}
-
 }  // namespace murphy

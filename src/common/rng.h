@@ -16,7 +16,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <span>
 
 namespace murphy {
 
@@ -93,17 +92,6 @@ class Rng {
   // Exponential with the given rate (mean 1/rate). Requires rate > 0.
   [[nodiscard]] double exponential(double rate);
 
-  // Batched standard-normal fill for the fast-inference path: writes
-  // out.size() independent N(0,1) draws with contiguous stores, via a
-  // 128-layer ziggurat over this xoshiro256** stream (~1 generator step, one
-  // table compare and one multiply per draw on the ~97.7% common path —
-  // several-fold cheaper than the ~60-cycle polar normal() above). The
-  // sequence is a pure function of the stream state and the total number of
-  // draws: fill_normal(64) twice produces the same values as one
-  // fill_normal(128). It is a DIFFERENT stream from normal() — the scalar
-  // polar method stays untouched as the bitwise-determinism golden, and
-  // callers opt into this one through fast_inference modes only.
-  void fill_normal(std::span<double> out);
   // Bernoulli trial with probability p of true.
   [[nodiscard]] bool chance(double p) { return uniform() < p; }
 

@@ -326,7 +326,6 @@ void FactorSet::build_kernel() {
   kernel_.feat.clear();
   kernel_.w.clear();
   kernel_.fscale.clear();
-  kernel_.wdiv.clear();
   kernel_.flat_count = 0;
   // Tracks which variables already have their shared mean pinned by an
   // earlier conditional. The serial ascending-v order makes the build
@@ -384,7 +383,6 @@ void FactorSet::build_kernel() {
       kernel_.feat.push_back(static_cast<std::uint32_t>(features[j]));
       kernel_.w.push_back(w[j]);
       kernel_.fscale.push_back(fs[j]);
-      kernel_.wdiv.push_back(w[j] / fs[j]);
     }
     ++kernel_.flat_count;
   }

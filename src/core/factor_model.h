@@ -127,7 +127,10 @@ struct FactorTrainingOptions {
 };
 
 // Flattened, allocation-free view of the trained conditionals, built once
-// after training for the Gibbs sampler's inner loop.
+// after training for the Gibbs sampler's inner loop. A flattened conditional
+// is linear-Gaussian, x_v = mu(c) + sigma * z with mu linear in the centered
+// features, which is what lets the opt-in exact inference path (DESIGN.md
+// §11) evaluate a candidate in closed form from the same arrays.
 //
 // Ridge is the one model family whose predict() is a fixed arithmetic form,
 //   mu = base + sum_j (w[j] * (x[j] - mean[j])) / scale[j],
@@ -154,12 +157,6 @@ struct SampleKernel {
   std::vector<std::uint32_t> feat;  // feature VarIndex, contiguous per var
   std::vector<double> w;            // standardized-space weight per slot
   std::vector<double> fscale;       // feature scale per slot
-  // Pre-divided weights w[k]/fscale[k], folded once at build_kernel() time
-  // for the fast-inference SoA kernel: one FMA per slot instead of a
-  // multiply + divide. NOT used by the scalar path — (w * c) / s and
-  // (w / s) * c round differently, and the scalar stream is the bitwise
-  // golden.
-  std::vector<double> wdiv;
   // Shared per-variable centering; 0 for variables that never appear as a
   // feature of a flattened conditional.
   std::vector<double> mean;
@@ -193,6 +190,21 @@ class FactorSet {
     return x - kernel_.mean[v];
   }
 
+  // Conditional mean of a flattened variable v given the centered state `c`:
+  // exactly the multiply, divide and add sequence of
+  // MetricConditional::predict. The exact inference path (DESIGN.md §11)
+  // sweeps with it noise-free.
+  [[nodiscard]] double kernel_mean(VarIndex v,
+                                   std::span<const double> c) const {
+    const SampleKernel::VarEntry& e = kernel_.vars[v];
+    double mu = e.base;
+    const std::uint32_t* f = kernel_.feat.data() + e.begin;
+    const double* w = kernel_.w.data() + e.begin;
+    const double* s = kernel_.fscale.data() + e.begin;
+    for (std::uint32_t k = 0; k < e.count; ++k) mu += w[k] * c[f[k]] / s[k];
+    return mu;
+  }
+
   // Draws variable v given the current raw state (`work`) and its centered
   // mirror (`c`). Bit-identical to conditional(v).sample(work, rng); the
   // flattened path just skips the virtual dispatch, the feature-gather copy
@@ -201,14 +213,8 @@ class FactorSet {
                                      std::span<const double> c,
                                      Rng& rng) const {
     const SampleKernel::VarEntry& e = kernel_.vars[v];
-    if (e.flat) [[likely]] {
-      double mu = e.base;
-      const std::uint32_t* f = kernel_.feat.data() + e.begin;
-      const double* w = kernel_.w.data() + e.begin;
-      const double* s = kernel_.fscale.data() + e.begin;
-      for (std::uint32_t k = 0; k < e.count; ++k) mu += w[k] * c[f[k]] / s[k];
-      return mu + e.sigma * rng.normal();
-    }
+    if (e.flat) [[likely]]
+      return kernel_mean(v, c) + e.sigma * rng.normal();
     return conditionals_[v]->sample(work, rng);
   }
 

@@ -159,7 +159,7 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
     c_resamples = hooks.metrics->counter("infer.gibbs_node_resamples");
     c_kernel_cells = hooks.metrics->counter("infer.kernel_cells");
     // Mode provenance: which path produced the verdicts. fast_path counts
-    // lane-batched evaluations; fast_fallback counts candidates that
+    // exact evaluations; fast_fallback counts candidates that
     // requested fast mode but fell back to the scalar loop (non-flattened
     // conditionals on the resample path). Both stay 0 in scalar mode, so a
     // snapshot always records which mode it came from.

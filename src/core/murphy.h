@@ -29,13 +29,14 @@ struct MurphyOptions {
   // Maximum nodes in the relationship graph (§4.1's safety valve).
   std::size_t max_graph_nodes = 100000;
   std::uint64_t seed = 1;
-  // Opt-in vectorized counterfactual inference (DESIGN.md §11): batches each
-  // candidate's independent Gibbs chains into SIMD-width lanes over an SoA
-  // state fed by the batched ziggurat generator. Off by default — the scalar
-  // path remains the bitwise-determinism golden; the fast mode's contract is
-  // statistical equivalence (same verdicts/rankings, t-test-indistinguishable
-  // scores), validated by bench_fast_equivalence. Still deterministic for a
-  // fixed (seed, options) at any thread count. Mirrored into
+  // Opt-in exact counterfactual inference (DESIGN.md §11): on all-ridge
+  // resample paths, each candidate's verdict comes from the closed-form
+  // means and variance of d1/d2 instead of Gibbs sampling. Off by default —
+  // the scalar Monte-Carlo path remains the bitwise-determinism golden; the
+  // exact mode's contract is statistical equivalence (same
+  // verdicts/rankings, t-test-indistinguishable scores), validated by
+  // bench_fast_equivalence. It draws no random numbers, so it is
+  // deterministic at any seed and thread count. Mirrored into
   // SamplerOptions::fast_inference at diagnose time.
   bool fast_inference = false;
   // Threads for the parallel phases (factor training, per-candidate

@@ -38,110 +38,6 @@ CounterfactualVerdict CounterfactualSampler::evaluate(
   return evaluate(a, a_var, d, d_var, state, symptom_high, rng_);
 }
 
-bool CounterfactualSampler::evaluate_fast(
-    std::span<const VarIndex> order, VarIndex a_var, VarIndex d_var,
-    std::span<const double> cent0, double cent_a_cf, Rng& rng,
-    std::vector<double>& d1, std::vector<double>& d2) const {
-  const SampleKernel& kernel = factors_.kernel();
-  for (const VarIndex v : order)
-    if (!kernel.vars[v].flat) return false;  // non-ridge family on the path
-
-  // --- SoA packing -----------------------------------------------------------
-  // Compact the written variable set (`order`) into slots [0, m). Features of
-  // a resampled conditional split three ways: slot features vary per lane
-  // (chain) and stay in the inner loop; the pinned candidate variable is
-  // constant per SIDE and folds into a per-side base; every other feature is
-  // frozen at its factual centered value and folds into the base outright.
-  // With the kernel's pre-divided weights the inner loop is then a pure
-  // FMA over contiguous lanes.
-  const std::size_t m = order.size();
-  thread_local std::vector<std::int32_t> slot_of;
-  slot_of.assign(cent0.size(), -1);
-  for (std::size_t j = 0; j < m; ++j)
-    slot_of[order[j]] = static_cast<std::int32_t>(j);
-  const std::int32_t d_slot = slot_of[d_var];
-  if (d_slot < 0) return false;  // defensive: d must be on the path
-
-  thread_local std::vector<std::uint32_t> vf_begin, vf_slot;
-  thread_local std::vector<double> vf_w, base_c, a_coef, sigma, init_cent;
-  vf_begin.resize(m + 1);
-  vf_slot.clear();
-  vf_w.clear();
-  base_c.resize(m);
-  a_coef.resize(m);
-  sigma.resize(m);
-  init_cent.resize(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    const VarIndex v = order[j];
-    const SampleKernel::VarEntry& e = kernel.vars[v];
-    vf_begin[j] = static_cast<std::uint32_t>(vf_slot.size());
-    double base = e.base;
-    double ac = 0.0;
-    for (std::uint32_t k = e.begin; k < e.begin + e.count; ++k) {
-      const std::uint32_t f = kernel.feat[k];
-      const double wd = kernel.wdiv[k];
-      if (f == a_var) {
-        ac += wd;
-      } else if (slot_of[f] >= 0) {
-        vf_slot.push_back(static_cast<std::uint32_t>(slot_of[f]));
-        vf_w.push_back(wd);
-      } else {
-        base += wd * cent0[f];
-      }
-    }
-    // Store the base already re-centered for variable v: the lane update is
-    // then cent[v] = base_c + sum(varying) + sigma * z in one pass.
-    base_c[j] = base - kernel.mean[v];
-    a_coef[j] = ac;
-    sigma[j] = e.sigma;
-    init_cent[j] = cent0[v];
-  }
-  vf_begin[m] = static_cast<std::uint32_t>(vf_slot.size());
-
-  // --- lane-batched chains ---------------------------------------------------
-  constexpr std::size_t kLanes = 64;
-  thread_local std::vector<double> centL, mu, z, side_base;
-  centL.resize(m * kLanes);
-  mu.resize(kLanes);
-  z.resize(kLanes);
-  side_base.resize(m);
-  const std::size_t rounds = opts_.gibbs_rounds;
-  const double mean_d = kernel.mean[d_var];
-
-  auto run_side = [&](double cent_a, std::vector<double>& out) {
-    for (std::size_t j = 0; j < m; ++j)
-      side_base[j] = base_c[j] + a_coef[j] * cent_a;
-    for (std::size_t s0 = 0; s0 < opts_.num_samples; s0 += kLanes) {
-      const std::size_t lanes = std::min(kLanes, opts_.num_samples - s0);
-      for (std::size_t j = 0; j < m; ++j) {
-        const double c0 = init_cent[j];
-        double* cj = centL.data() + j * kLanes;
-        for (std::size_t l = 0; l < lanes; ++l) cj[l] = c0;
-      }
-      for (std::size_t round = 0; round < rounds; ++round) {
-        for (std::size_t j = 0; j < m; ++j) {
-          rng.fill_normal(std::span<double>(z.data(), lanes));
-          const double b = side_base[j];
-          for (std::size_t l = 0; l < lanes; ++l) mu[l] = b;
-          for (std::uint32_t k = vf_begin[j]; k < vf_begin[j + 1]; ++k) {
-            const double w = vf_w[k];
-            const double* cf = centL.data() + vf_slot[k] * kLanes;
-            for (std::size_t l = 0; l < lanes; ++l) mu[l] += w * cf[l];
-          }
-          const double sg = sigma[j];
-          double* cj = centL.data() + j * kLanes;
-          for (std::size_t l = 0; l < lanes; ++l) cj[l] = mu[l] + sg * z[l];
-        }
-      }
-      const double* cd = centL.data() + static_cast<std::size_t>(d_slot) * kLanes;
-      for (std::size_t l = 0; l < lanes; ++l) out.push_back(cd[l] + mean_d);
-    }
-  };
-  run_side(cent_a_cf, d1);
-  run_side(cent0[a_var], d2);
-  return true;
-}
-
 CounterfactualVerdict CounterfactualSampler::evaluate(
     graph::NodeIndex a, VarIndex a_var, graph::NodeIndex d, VarIndex d_var,
     std::span<const double> state, bool symptom_high, Rng& rng) const {
@@ -171,7 +67,7 @@ CounterfactualVerdict CounterfactualSampler::evaluate(
   const double a_cf =
       a_now + direction * opts_.counterfactual_sigmas * sigma;
 
-  // The inner loop below is the engine's hottest code (hundreds of millions
+  // The scalar loop below is the engine's hottest code (hundreds of millions
   // of variable draws per batch run). It is equivalent draw-for-draw to
   // resample_path() over a fresh copy of `state` per sample, but
   //  - the resampling order is flattened once into `order` (vars of
@@ -188,75 +84,108 @@ CounterfactualVerdict CounterfactualSampler::evaluate(
 
   const SampleKernel& kernel = factors_.kernel();
   std::size_t cells_per_round = 0;
-  for (const VarIndex v : order) cells_per_round += kernel.vars[v].count;
+  bool all_flat = true;
+  for (const VarIndex v : order) {
+    cells_per_round += kernel.vars[v].count;
+    all_flat = all_flat && kernel.vars[v].flat;
+  }
   verdict.kernel_cells =
       2 * opts_.num_samples * opts_.gibbs_rounds * cells_per_round;
 
   const std::size_t n_vars = state.size();
-  thread_local std::vector<double> work, cent, cent0, d1, d2;
-  work.assign(state.begin(), state.end());
+  thread_local std::vector<double> work, cent, cent0, d1, d2, adj;
   cent.resize(n_vars);
   for (VarIndex v = 0; v < n_vars; ++v)
     cent[v] = factors_.center(v, state[v]);
   cent0.assign(cent.begin(), cent.end());
   const double a_cf_c = factors_.center(a_var, a_cf);
-
-  d1.clear();
-  d2.clear();
-  d1.reserve(opts_.num_samples);
-  d2.reserve(opts_.num_samples);
-
-  // Opt-in vectorized path: lane-batch the independent chains over an SoA
-  // state. Statistically equivalent, not bitwise (see SamplerOptions); the
-  // work accounting above is shared, so both modes report identical
-  // node_resamples/kernel_cells for the same request. Falls back per
-  // candidate when the path touches a non-flattened conditional.
-  if (opts_.fast_inference &&
-      evaluate_fast(order, a_var, d_var, cent0, a_cf_c, rng, d1, d2)) {
-    verdict.fast_path = true;
-    const auto t = stats::welch_t_test(d1, d2);
-    verdict.p_value = symptom_high ? t.p_less : 1.0 - t.p_less;
-    verdict.is_root_cause = verdict.p_value < opts_.significance;
-    verdict.mean_counterfactual = stats::mean(d1);
-    verdict.mean_factual = stats::mean(d2);
-    return verdict;
-  }
-
   const std::size_t rounds = opts_.gibbs_rounds;
-  auto run_side = [&](double a_start, double a_start_c,
-                      std::vector<double>& out) {
-    work[a_var] = a_start;
-    cent[a_var] = a_start_c;
+
+  stats::TTestResult t;
+  if (opts_.fast_inference && all_flat) {
+    // Exact path (DESIGN.md §11). Every update is linear-Gaussian, so d1
+    // and d2 are Gaussian with one shared variance. Means: one noise-free
+    // sweep per side, in the scalar kernel's arithmetic.
+    auto mean_side = [&](double a_start_c) {
+      cent[a_var] = a_start_c;
+      double x_d = state[d_var];
+      for (std::size_t round = 0; round < rounds; ++round) {
+        for (const VarIndex v : order) {
+          const double mu = factors_.kernel_mean(v, cent);
+          cent[v] = factors_.center(v, mu);
+          if (v == d_var) x_d = mu;
+        }
+      }
+      for (const VarIndex v : order) cent[v] = cent0[v];
+      cent[a_var] = cent0[a_var];
+      return x_d;
+    };
+    verdict.mean_counterfactual = mean_side(a_cf_c);
+    verdict.mean_factual = mean_side(cent0[a_var]);
+    // Variance: one reverse (adjoint) sweep over the same updates. adj[v] is
+    // d's sensitivity to the live value of v; the update that wrote it
+    // added sigma_v * z with weight lambda = adj[v], and read its features
+    // through the coefficients w / s.
+    adj.assign(n_vars, 0.0);
+    adj[d_var] = 1.0;
+    double var = 0.0;
     for (std::size_t round = 0; round < rounds; ++round) {
-      for (const VarIndex v : order) {
-        const double val = factors_.kernel_sample(v, work, cent, rng);
-        work[v] = val;
-        cent[v] = factors_.center(v, val);
+      for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        const SampleKernel::VarEntry& e = kernel.vars[*it];
+        const double lambda = adj[*it];
+        adj[*it] = 0.0;
+        var += (lambda * e.sigma) * (lambda * e.sigma);
+        for (std::uint32_t k = e.begin; k < e.begin + e.count; ++k)
+          adj[kernel.feat[k]] += lambda * kernel.w[k] / kernel.fscale[k];
       }
     }
-    out.push_back(work[d_var]);
-    for (const VarIndex v : order) {
-      work[v] = state[v];
-      cent[v] = cent0[v];
+    verdict.variance = var;
+    verdict.fast_path = true;
+    // The expected-t form of the Welch test at the requested sample size:
+    // t = delta / sqrt(2 V / n), dof 2n - 2.
+    t = stats::welch_from_moments(verdict.mean_counterfactual, var,
+                                  opts_.num_samples, verdict.mean_factual,
+                                  var, opts_.num_samples);
+  } else {
+    work.assign(state.begin(), state.end());
+    d1.clear();
+    d2.clear();
+    d1.reserve(opts_.num_samples);
+    d2.reserve(opts_.num_samples);
+    auto run_side = [&](double a_start, double a_start_c,
+                        std::vector<double>& out) {
+      work[a_var] = a_start;
+      cent[a_var] = a_start_c;
+      for (std::size_t round = 0; round < rounds; ++round) {
+        for (const VarIndex v : order) {
+          const double val = factors_.kernel_sample(v, work, cent, rng);
+          work[v] = val;
+          cent[v] = factors_.center(v, val);
+        }
+      }
+      out.push_back(work[d_var]);
+      for (const VarIndex v : order) {
+        work[v] = state[v];
+        cent[v] = cent0[v];
+      }
+      work[a_var] = state[a_var];
+      cent[a_var] = cent0[a_var];
+    };
+    for (std::size_t s = 0; s < opts_.num_samples; ++s) {
+      // Counterfactual start, then factual start (same resampling so the
+      // distributions are comparable).
+      run_side(a_cf, a_cf_c, d1);
+      run_side(a_now, cent0[a_var], d2);
     }
-    work[a_var] = state[a_var];
-    cent[a_var] = cent0[a_var];
-  };
-
-  for (std::size_t s = 0; s < opts_.num_samples; ++s) {
-    // Counterfactual start, then factual start (same resampling so the
-    // distributions are comparable).
-    run_side(a_cf, a_cf_c, d1);
-    run_side(a_now, cent0[a_var], d2);
+    t = stats::welch_t_test(d1, d2);
+    verdict.mean_counterfactual = stats::mean(d1);
+    verdict.mean_factual = stats::mean(d2);
   }
 
-  const auto t = stats::welch_t_test(d1, d2);
   // Symptom abnormally high: root cause iff counterfactual lowers D
   // (d1 << d2, small p_less). Abnormally low: iff it raises D.
   verdict.p_value = symptom_high ? t.p_less : 1.0 - t.p_less;
   verdict.is_root_cause = verdict.p_value < opts_.significance;
-  verdict.mean_counterfactual = stats::mean(d1);
-  verdict.mean_factual = stats::mean(d2);
   return verdict;
 }
 

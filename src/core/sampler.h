@@ -10,6 +10,11 @@
 //     distributions d1 (counterfactual start) and d2 (factual start);
 //  5. a one-sided Welch t-test decides whether the counterfactual moved the
 //     symptom toward normal — if so, A is a root cause.
+//
+// The opt-in exact path (SamplerOptions::fast_inference, DESIGN.md §11)
+// replaces steps 4-5 on paths whose conditionals are all flattened ridge
+// factors: d1 and d2 are then exactly Gaussian, so their means and shared
+// variance are computed in closed form and the t-test runs on them.
 #pragma once
 
 #include <span>
@@ -32,16 +37,18 @@ struct SamplerOptions {
   // absorb the counterfactual through collinear features.
   std::size_t path_slack = 2;
   std::uint64_t seed = 1;
-  // Opt-in vectorized inference (DESIGN.md §11). The num_samples independent
-  // chains of one candidate are batched into SIMD-width lanes over a
-  // structure-of-arrays state, consuming pre-filled Rng::fill_normal blocks
-  // and the kernel's pre-divided weights. The contract is STATISTICAL
-  // equivalence (same verdicts and rankings, score deltas indistinguishable
-  // under a Welch t-test), not bitwise identity: draw order, rounding and
-  // the normal generator all differ from the scalar golden path. Output is
-  // still deterministic for a fixed (seed, options) at any thread count.
-  // Candidates whose resample order touches a non-flattened conditional
-  // (non-ridge model families) fall back to the scalar path per candidate.
+  // Opt-in exact inference (DESIGN.md §11). When every conditional on the
+  // resample path is a flattened (ridge) factor, d1 and d2 are exactly
+  // Gaussian with one shared variance: their means come from one noise-free
+  // sweep per side, the variance from one reverse (adjoint) sweep, and the
+  // verdict from the expected-t form of the Welch test at n = num_samples.
+  // No random draws, so the result depends on neither seed nor thread
+  // count. The contract with the scalar Monte-Carlo path is STATISTICAL
+  // equivalence (same verdicts and rankings, score deltas
+  // indistinguishable), not bitwise identity: the exact form is the
+  // n -> infinity limit of the sampled estimator. Candidates whose resample
+  // order touches a non-flattened conditional (non-ridge model families)
+  // fall back to the scalar path per candidate.
   bool fast_inference = false;
 };
 
@@ -54,16 +61,18 @@ struct CounterfactualVerdict {
   // of the graph and options, not of scheduling).
   std::size_t path_len = 0;         // resampled subgraph size, incl. endpoints
   std::size_t node_resamples = 0;   // resample_node calls across both sides
-  // Flattened-kernel multiply-add slots evaluated (w * c / s terms) across
-  // both sides — the sampler's arithmetic volume, again deterministic.
-  // Lane-batched fast-inference work counts IDENTICALLY: both modes resample
-  // the same (sample, round, variable) grid, so the accounting is a function
-  // of the request, never of the execution mode (regression-tested).
+  // Flattened-kernel multiply-add slots of the (sample, round, variable)
+  // grid (w * c / s terms) across both sides — the sampler's arithmetic
+  // volume, again deterministic. The exact path reports the same nominal
+  // grid for the same request, so the accounting is a function of the
+  // request, never of the execution mode (regression-tested).
   std::size_t kernel_cells = 0;
-  // True when the vectorized fast-inference kernel produced this verdict
-  // (false in scalar mode and for per-candidate fallbacks), so audits record
-  // which mode a verdict came from.
+  // True when the exact path produced this verdict (false in scalar mode and
+  // for per-candidate fallbacks), so audits record which mode it came from.
   bool fast_path = false;
+  // Exact path only: the shared closed-form variance of d1 and d2 (0 for a
+  // Monte-Carlo verdict).
+  double variance = 0.0;
 };
 
 class CounterfactualSampler {
@@ -115,17 +124,6 @@ class CounterfactualSampler {
                                      std::size_t gibbs_rounds) const;
 
  private:
-  // Lane-batched Gibbs chains for one candidate (the fast path): packs the
-  // resample order into SoA buffers once, then runs all num_samples chains
-  // of the counterfactual side (pinned centered value `cent_a_cf`) into `d1`
-  // and of the factual side into `d2`. Returns false — before consuming any
-  // randomness — when some resampled conditional is not flattened, in which
-  // case the caller falls back to the scalar loop.
-  bool evaluate_fast(std::span<const VarIndex> order, VarIndex a_var,
-                     VarIndex d_var, std::span<const double> cent0,
-                     double cent_a_cf, Rng& rng, std::vector<double>& d1,
-                     std::vector<double>& d2) const;
-
   const graph::RelationshipGraph& graph_;
   const MetricSpace& space_;
   const FactorSet& factors_;

@@ -12,12 +12,8 @@ namespace {
 // Case accounting goes to the process-global registry so eval binaries can
 // snapshot it without plumbing a registry through every run_case call site.
 void count_case(bool hit_top1) {
-#ifndef MURPHY_OBS_DISABLED
   obs::global_metrics().counter("eval.cases_run")->add(1);
   if (hit_top1) obs::global_metrics().counter("eval.cases_top1_hit")->add(1);
-#else
-  (void)hit_top1;
-#endif
 }
 
 }  // namespace

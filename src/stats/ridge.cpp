@@ -50,16 +50,13 @@ void RidgeRegression::fit_weighted(const Matrix& x, const Vector& y,
         ++cells;
       }
     }
-#ifndef MURPHY_OBS_DISABLED
     obs::global_metrics().counter("train.nonfinite_cells")->add(cells);
-#endif
     fit_weighted(xc, yc, weights);
     return;
   }
 
   const std::size_t n = x.rows();
   const std::size_t p = x.cols();
-#ifndef MURPHY_OBS_DISABLED
   // Hot-path accounting in the process-global registry; the instrument
   // pointers are resolved once, updates are single relaxed atomics.
   static obs::Counter* const c_fits =
@@ -68,7 +65,6 @@ void RidgeRegression::fit_weighted(const Matrix& x, const Vector& y,
       obs::global_metrics().counter("stats.ridge_cells");
   c_fits->add(1);
   c_cells->add(static_cast<std::uint64_t>(n) * p);
-#endif
   assert(y.size() == n && weights.size() == n);
   assert(n >= 1);
 
@@ -110,15 +106,11 @@ void RidgeRegression::fit_weighted(const Matrix& x, const Vector& y,
       ++degenerate_cols;
     }
   }
-#ifndef MURPHY_OBS_DISABLED
   if (degenerate_cols > 0) {
     static obs::Counter* const c_degenerate =
         obs::global_metrics().counter("train.degenerate_columns");
     c_degenerate->add(degenerate_cols);
   }
-#else
-  (void)degenerate_cols;
-#endif
   {
     double m = 0.0;
     for (std::size_t i = 0; i < n; ++i) m += weights[i] * y[i];

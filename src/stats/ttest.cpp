@@ -86,11 +86,9 @@ namespace {
 // The evidence-free verdict for degenerate inputs: neutral in both
 // directions, so it can never implicate (or exonerate) a candidate.
 TTestResult degenerate_ttest() {
-#ifndef MURPHY_OBS_DISABLED
   static obs::Counter* const c_degenerate =
       obs::global_metrics().counter("stats.ttest_degenerate");
   c_degenerate->add(1);
-#endif
   TTestResult r;
   r.t = 0.0;
   r.dof = 1.0;
@@ -102,20 +100,20 @@ TTestResult degenerate_ttest() {
 }  // namespace
 
 TTestResult welch_t_test(std::span<const double> x, std::span<const double> y) {
-#ifndef MURPHY_OBS_DISABLED
+  return welch_from_moments(mean(x), variance(x), x.size(), mean(y),
+                            variance(y), y.size());
+}
+
+TTestResult welch_from_moments(double mx, double vx, std::size_t x_count,
+                               double my, double vy, std::size_t y_count) {
   static obs::Counter* const c_tests =
       obs::global_metrics().counter("stats.welch_ttests");
   c_tests->add(1);
-#endif
   // Defined, finite semantics for degenerate samples (previously asserted):
   // fewer than 2 points on either side carries no distributional evidence.
-  if (x.size() < 2 || y.size() < 2) return degenerate_ttest();
-  const double nx = static_cast<double>(x.size());
-  const double ny = static_cast<double>(y.size());
-  const double mx = mean(x);
-  const double my = mean(y);
-  const double vx = variance(x);
-  const double vy = variance(y);
+  if (x_count < 2 || y_count < 2) return degenerate_ttest();
+  const double nx = static_cast<double>(x_count);
+  const double ny = static_cast<double>(y_count);
   // A non-finite moment means a poisoned sample (NaN/Inf draw) — neutral
   // verdict rather than NaN p-values that compare false everywhere.
   if (!std::isfinite(mx) || !std::isfinite(my) || !std::isfinite(vx) ||

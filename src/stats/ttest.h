@@ -4,6 +4,7 @@
 // factual value (d2); a significantly lower d1 implicates the candidate.
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 namespace murphy::stats {
@@ -25,6 +26,15 @@ struct TTestResult {
 //    (counter `stats.ttest_degenerate`).
 [[nodiscard]] TTestResult welch_t_test(std::span<const double> x,
                                        std::span<const double> y);
+
+// The same test from the samples' moments (mean, unbiased variance, count):
+// welch_t_test() computes them and calls this, and the exact inference path
+// (DESIGN.md §11) calls it with its closed-form moments, so both share the
+// degenerate-input rules above and the `stats.welch_ttests` /
+// `stats.ttest_degenerate` counters.
+[[nodiscard]] TTestResult welch_from_moments(double mx, double vx,
+                                             std::size_t x_count, double my,
+                                             double vy, std::size_t y_count);
 
 // Student-t CDF at t with `dof` degrees of freedom (via regularized
 // incomplete beta). Exposed for testing.

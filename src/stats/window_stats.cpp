@@ -20,15 +20,11 @@ ColumnMoments build_column_moments(std::vector<double> values) {
       ++nonfinite;
     }
   }
-#ifndef MURPHY_OBS_DISABLED
   if (nonfinite > 0) {
     static obs::Counter* const c_nonfinite =
         obs::global_metrics().counter("train.nonfinite_cells");
     c_nonfinite->add(nonfinite);
   }
-#else
-  (void)nonfinite;
-#endif
   // Exactly mean()'s sum order, then pearson()'s dx and sxx accumulation;
   // variance() accumulates the identical products, so sigma reproduces
   // stddev() bitwise.

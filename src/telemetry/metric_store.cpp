@@ -13,13 +13,8 @@ namespace {
 // Ingest/read-side defect counters (DESIGN.md §8). Resolved once; updates
 // are single relaxed atomics and only happen on the defect path.
 void count_defect(const char* name, std::uint64_t n) {
-#ifndef MURPHY_OBS_DISABLED
   if (n == 0) return;
   obs::global_metrics().counter(name)->add(n);
-#else
-  (void)name;
-  (void)n;
-#endif
 }
 
 }  // namespace

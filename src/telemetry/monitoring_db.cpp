@@ -30,15 +30,11 @@ void MonitoringDb::add_association(EntityId a, EntityId b, RelationKind kind,
   // instead of storing an edge no consumer can interpret. Nothing changes
   // for well-formed input, so no version bump on the drop paths.
   if (a == b) {
-#ifndef MURPHY_OBS_DISABLED
     obs::global_metrics().counter("ingest.selfloop_edges_dropped")->add(1);
-#endif
     return;
   }
   if (!has_entity(a) || !has_entity(b)) {
-#ifndef MURPHY_OBS_DISABLED
     obs::global_metrics().counter("ingest.orphan_edges_dropped")->add(1);
-#endif
     return;
   }
   ++structural_version_;

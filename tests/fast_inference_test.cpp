@@ -1,19 +1,20 @@
-// Tests for the opt-in vectorized inference mode (DESIGN.md §11) and its
-// batched normal generator.
+// Tests for the opt-in exact inference mode (DESIGN.md §11).
 //
 // The contract under test has three parts:
-//  1. Rng::fill_normal is a correct N(0,1) sampler (moments, tails), is
-//     chunking-invariant, and its mix_seed-derived streams are independent.
-//  2. fast_inference=false stays the bitwise golden: the scalar path is
+//  1. fast_inference=false stays the bitwise golden: the scalar path is
 //     untouched at any thread count, and running a fast diagnosis never
-//     perturbs a scalar one. The integer xoshiro stream is pinned to golden
-//     values so the scalar normal stream cannot silently drift either.
-//  3. fast_inference=true is statistically equivalent (same verdicts),
+//     perturbs a scalar one.
+//  2. fast_inference=true is statistically equivalent (same verdicts),
 //     deterministic at any thread count, reports the IDENTICAL work
 //     accounting (node_resamples / kernel_cells) as scalar mode, and falls
 //     back per candidate when conditionals are not flattened.
+//  3. The exact kernel computes what it claims: its adjoint variance equals
+//     the sum of independently propagated noise impulses, its moments match
+//     the Monte-Carlo sampler's at large n, it draws no random numbers, and
+//     its degenerate inputs follow the Welch test's rules.
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,8 @@
 #include "src/core/murphy.h"
 #include "src/core/sampler.h"
 #include "src/obs/metrics.h"
+#include "src/stats/summary.h"
+#include "src/stats/ttest.h"
 
 namespace murphy {
 namespace {
@@ -33,87 +36,6 @@ using telemetry::ConfigEventKind;
 using telemetry::EntityType;
 using telemetry::MonitoringDb;
 using telemetry::RelationKind;
-
-// ---------- the batched generator ------------------------------------------
-
-TEST(FillNormal, GoldenU64StreamUnchanged) {
-  // The scalar golden contract rests on the raw xoshiro256** stream: pin it.
-  // (splitmix64-seeded, values independent of platform).
-  Rng rng(1);
-  const std::uint64_t expected[] = {
-      0xb3f2af6d0fc710c5ull, 0x853b559647364ceaull, 0x92f89756082a4514ull,
-      0x642e1c7bc266a3a7ull, 0xb27a48e29a233673ull, 0x24c123126ffda722ull,
-  };
-  for (const std::uint64_t want : expected) EXPECT_EQ(rng(), want);
-}
-
-TEST(FillNormal, MomentsMatchStandardNormal) {
-  constexpr std::size_t kN = 200000;
-  Rng rng(42);
-  std::vector<double> z(kN);
-  rng.fill_normal(z);
-
-  double sum = 0.0, sum2 = 0.0;
-  std::size_t beyond196 = 0, beyond3 = 0;
-  for (const double v : z) {
-    sum += v;
-    sum2 += v * v;
-    if (std::abs(v) > 1.96) ++beyond196;
-    if (std::abs(v) > 3.0) ++beyond3;
-  }
-  const double mean = sum / kN;
-  const double var = sum2 / kN - mean * mean;
-  EXPECT_NEAR(mean, 0.0, 0.01);
-  EXPECT_NEAR(var, 1.0, 0.02);
-  // P(|Z| > 1.96) = 0.05, P(|Z| > 3) = 0.0027 — the ziggurat tail path.
-  EXPECT_NEAR(static_cast<double>(beyond196) / kN, 0.05, 0.005);
-  EXPECT_NEAR(static_cast<double>(beyond3) / kN, 0.0027, 0.0015);
-}
-
-TEST(FillNormal, ChunkingInvariant) {
-  // The fast kernel consumes lane-sized blocks whose width depends on how
-  // many chains remain; the stream must not depend on the chunking.
-  constexpr std::size_t kN = 1024;
-  Rng whole_rng(9);
-  std::vector<double> whole(kN);
-  whole_rng.fill_normal(whole);
-
-  Rng halves_rng(9);
-  std::vector<double> halves(kN);
-  halves_rng.fill_normal(std::span<double>(halves.data(), kN / 2));
-  halves_rng.fill_normal(std::span<double>(halves.data() + kN / 2, kN / 2));
-  EXPECT_EQ(whole, halves);
-
-  Rng singles_rng(9);
-  std::vector<double> singles(kN);
-  for (std::size_t i = 0; i < kN; ++i)
-    singles_rng.fill_normal(std::span<double>(singles.data() + i, 1));
-  EXPECT_EQ(whole, singles);
-}
-
-TEST(FillNormal, DeterministicAndSeedSensitive) {
-  std::vector<double> a(256), b(256), c(256);
-  Rng ra(7), rb(7), rc(8);
-  ra.fill_normal(a);
-  rb.fill_normal(b);
-  rc.fill_normal(c);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, c);
-}
-
-TEST(FillNormal, MixSeedStreamsIndependent) {
-  // Per-candidate streams are derived via mix_seed(seed, stream); adjacent
-  // streams must be uncorrelated or parallel candidates would covary.
-  constexpr std::size_t kN = 100000;
-  Rng r1(mix_seed(5, 1)), r2(mix_seed(5, 2));
-  std::vector<double> z1(kN), z2(kN);
-  r1.fill_normal(z1);
-  r2.fill_normal(z2);
-  double dot = 0.0;
-  for (std::size_t i = 0; i < kN; ++i) dot += z1[i] * z2[i];
-  // Both sides ~N(0,1): corr ~= dot/N, stderr ~= 1/sqrt(N) ~= 0.003.
-  EXPECT_LT(std::abs(dot / kN), 0.02);
-}
 
 // ---------- end-to-end fixture ---------------------------------------------
 
@@ -314,6 +236,213 @@ TEST(FastInference, FallsBackPerCandidateForNonFlatModels) {
   const auto scalar = diagnose_chain(env, /*fast=*/false, 1, nullptr,
                                      stats::ModelKind::kGmm);
   expect_bitwise_equal(scalar, result);
+}
+
+// ---------- the exact kernel ----------------------------------------------
+
+// One candidate of the chain fixture, set up for direct sampler calls: the
+// injected root cause A against the symptom at D.
+struct ChainCandidate {
+  graph::RelationshipGraph g;
+  core::MetricSpace space;
+  std::vector<double> state;
+  core::FactorSet factors;
+  core::VarIndex a_var, d_var;
+  graph::NodeIndex a_node, d_node;
+
+  ChainCandidate(const ChainEnv& env, TimeIndex train_end)
+      : g(graph::RelationshipGraph::build(env.db, std::vector<EntityId>{env.d},
+                                          4)),
+        space(env.db, g),
+        state(space.snapshot(env.db, 199)),
+        factors(env.db, g, space, 0, train_end,
+                core::FactorTrainingOptions{}),
+        a_var(*space.find(env.a, env.load)),
+        d_var(*space.find(env.d, env.load)),
+        a_node(space.var(a_var).node),
+        d_node(space.var(d_var).node) {}
+
+  core::CounterfactualVerdict evaluate(core::SamplerOptions sopts,
+                                       bool symptom_high = true) const {
+    const core::CounterfactualSampler sampler(g, space, factors, sopts);
+    Rng rng(mix_seed(99, 1));
+    return sampler.evaluate(a_node, a_var, d_node, d_var, state, symptom_high,
+                            rng);
+  }
+
+  // The variables the sampler resamples, in update order.
+  std::vector<core::VarIndex> order(const core::SamplerOptions& sopts) const {
+    std::vector<core::VarIndex> out;
+    const auto path = g.shortest_path_subgraph(a_node, d_node,
+                                               sopts.path_slack);
+    for (std::size_t i = 1; i < path.size(); ++i)
+      for (const core::VarIndex v : space.vars_of(path[i])) out.push_back(v);
+    return out;
+  }
+};
+
+core::SamplerOptions exact_options(std::size_t num_samples = 120) {
+  core::SamplerOptions sopts;
+  sopts.num_samples = num_samples;
+  sopts.fast_inference = true;
+  return sopts;
+}
+
+TEST(ExactInference, AdjointVarianceMatchesForwardImpulses) {
+  // Independent check of the reverse sweep: inject unit noise at each
+  // (round, variable) update of the homogeneous linear system, propagate it
+  // forward through the remaining updates, read the change in d, and sum
+  // (lambda * sigma)^2.
+  const auto env = make_chain_env();
+  const ChainCandidate cc(env, 200);
+  const auto sopts = exact_options();
+  const auto verdict = cc.evaluate(sopts);
+  ASSERT_TRUE(verdict.fast_path);
+
+  const core::SampleKernel& k = cc.factors.kernel();
+  const auto order = cc.order(sopts);
+  ASSERT_GE(order.size(), 3u);  // B, C, D
+  double impulse_var = 0.0;
+  for (std::size_t r0 = 0; r0 < sopts.gibbs_rounds; ++r0) {
+    for (std::size_t j0 = 0; j0 < order.size(); ++j0) {
+      std::vector<double> c(cc.space.size(), 0.0);
+      for (std::size_t r = 0; r < sopts.gibbs_rounds; ++r) {
+        for (std::size_t j = 0; j < order.size(); ++j) {
+          const auto& e = k.vars[order[j]];
+          double x = 0.0;
+          for (std::uint32_t s = e.begin; s < e.begin + e.count; ++s)
+            x += k.w[s] * c[k.feat[s]] / k.fscale[s];
+          if (r == r0 && j == j0) x += 1.0;
+          c[order[j]] = x;
+        }
+      }
+      const double lambda_sigma = c[cc.d_var] * k.vars[order[j0]].sigma;
+      impulse_var += lambda_sigma * lambda_sigma;
+    }
+  }
+  ASSERT_GT(impulse_var, 0.0);
+  EXPECT_NEAR(verdict.variance, impulse_var, 1e-12 * impulse_var);
+}
+
+TEST(ExactInference, MomentsMatchScalarSamplerAtLargeN) {
+  constexpr std::size_t kN = 20000;
+  const auto env = make_chain_env();
+  const ChainCandidate cc(env, 200);
+  auto sopts = exact_options(kN);
+  const auto exact = cc.evaluate(sopts);
+  sopts.fast_inference = false;
+  const auto scalar = cc.evaluate(sopts);
+  ASSERT_TRUE(exact.fast_path);
+  ASSERT_FALSE(scalar.fast_path);
+  ASSERT_GT(exact.variance, 0.0);
+
+  // Means: the scalar verdict's empirical means over kN chains per side.
+  const double se_mean = std::sqrt(exact.variance / kN);
+  EXPECT_NEAR(scalar.mean_counterfactual, exact.mean_counterfactual,
+              4.0 * se_mean);
+  EXPECT_NEAR(scalar.mean_factual, exact.mean_factual, 4.0 * se_mean);
+
+  // Variance: kN factual chains through the raw (virtual-dispatch)
+  // resampler; a Gaussian sample variance has stderr V * sqrt(2 / (n - 1)).
+  const core::CounterfactualSampler sampler(cc.g, cc.space, cc.factors, sopts);
+  const auto path = cc.g.shortest_path_subgraph(cc.a_node, cc.d_node,
+                                                sopts.path_slack);
+  Rng rng(7);
+  std::vector<double> d2;
+  std::vector<double> work;
+  for (std::size_t s = 0; s < kN; ++s) {
+    work = cc.state;
+    d2.push_back(sampler.resample_path(path, cc.d_var, work, rng,
+                                       sopts.gibbs_rounds));
+  }
+  const double se_var = exact.variance * std::sqrt(2.0 / (kN - 1));
+  EXPECT_NEAR(stats::variance(d2), exact.variance, 4.0 * se_var);
+  EXPECT_NEAR(stats::mean(d2), exact.mean_factual, 4.0 * se_mean);
+}
+
+TEST(ExactInference, SeedDoesNotChangeExactResults) {
+  // The exact path draws no random numbers: two diagnoser seeds give
+  // bitwise-equal verdicts, while the scalar path's verdicts move.
+  const auto env = make_chain_env();
+  auto audit_of = [&](bool fast, std::uint64_t seed) {
+    core::MurphyOptions mopts;
+    mopts.sampler.num_samples = 120;
+    mopts.fast_inference = fast;
+    mopts.seed = seed;
+    mopts.num_threads = 1;
+    mopts.obs.collect_audit = true;
+    core::MurphyDiagnoser murphy(mopts);
+    core::DiagnosisRequest req;
+    req.db = &env.db;
+    req.symptom_entity = env.d;
+    req.symptom_metric = "cpu_util";
+    req.now = 199;
+    req.train_begin = 0;
+    req.train_end = 200;
+    return murphy.diagnose(req).audit.candidates;
+  };
+  const auto fast1 = audit_of(true, 1);
+  const auto fast2 = audit_of(true, 0xC0FFEE);
+  ASSERT_FALSE(fast1.empty());
+  ASSERT_EQ(fast1.size(), fast2.size());
+  std::size_t evaluated = 0;
+  for (std::size_t i = 0; i < fast1.size(); ++i) {
+    EXPECT_EQ(fast1[i].entity, fast2[i].entity);
+    EXPECT_EQ(fast1[i].p_value, fast2[i].p_value) << "candidate " << i;
+    EXPECT_EQ(fast1[i].mean_factual, fast2[i].mean_factual);
+    EXPECT_EQ(fast1[i].mean_counterfactual, fast2[i].mean_counterfactual);
+    EXPECT_EQ(fast1[i].accepted, fast2[i].accepted);
+    if (fast1[i].evaluated) ++evaluated;
+  }
+  EXPECT_GT(evaluated, 0u);
+
+  // The seed does reach the sampler: the Monte-Carlo means move with it.
+  const auto scalar1 = audit_of(false, 1);
+  const auto scalar2 = audit_of(false, 0xC0FFEE);
+  ASSERT_EQ(scalar1.size(), scalar2.size());
+  bool moved = false;
+  for (std::size_t i = 0; i < scalar1.size(); ++i)
+    moved = moved || scalar1[i].mean_factual != scalar2[i].mean_factual;
+  EXPECT_TRUE(moved);
+}
+
+TEST(ExactInference, ZeroSigmaFollowsConstantSampleRule) {
+  // An empty training window trains flat hist-mean conditionals with
+  // sigma 0 (DESIGN.md §8): both sides are constants, and the verdict must
+  // be Welch's constant-sample rule — the scalar path's, bit for bit.
+  const auto env = make_chain_env();
+  const ChainCandidate cc(env, /*train_end=*/0);
+  for (const bool high : {true, false}) {
+    SCOPED_TRACE(high ? "symptom high" : "symptom low");
+    auto sopts = exact_options();
+    const auto exact = cc.evaluate(sopts, high);
+    sopts.fast_inference = false;
+    const auto scalar = cc.evaluate(sopts, high);
+    ASSERT_TRUE(exact.fast_path);
+    EXPECT_EQ(exact.variance, 0.0);
+    const std::vector<double> d1(sopts.num_samples, exact.mean_counterfactual);
+    const std::vector<double> d2(sopts.num_samples, exact.mean_factual);
+    const double p_less = stats::welch_t_test(d1, d2).p_less;
+    EXPECT_EQ(exact.p_value, high ? p_less : 1.0 - p_less);
+    EXPECT_EQ(exact.p_value, scalar.p_value);
+    EXPECT_EQ(exact.is_root_cause, scalar.is_root_cause);
+    EXPECT_EQ(exact.mean_counterfactual, scalar.mean_counterfactual);
+    EXPECT_EQ(exact.mean_factual, scalar.mean_factual);
+  }
+}
+
+TEST(ExactInference, NonFiniteStateGivesNeutralVerdict) {
+  const auto env = make_chain_env();
+  ChainCandidate cc(env, 200);
+  cc.state[cc.a_var] = std::numeric_limits<double>::quiet_NaN();
+  obs::Counter* degenerate =
+      obs::global_metrics().counter("stats.ttest_degenerate");
+  const std::uint64_t before = degenerate->value();
+  const auto verdict = cc.evaluate(exact_options());
+  ASSERT_TRUE(verdict.fast_path);
+  EXPECT_EQ(verdict.p_value, 0.5);
+  EXPECT_FALSE(verdict.is_root_cause);
+  EXPECT_EQ(degenerate->value(), before + 1);
 }
 
 }  // namespace

@@ -181,6 +181,26 @@ TEST(TTest, DegenerateConstantSamples) {
   EXPECT_DOUBLE_EQ(welch_t_test(a, a).p_two_sided, 1.0);
 }
 
+TEST(TTest, MomentFormIsTheSampleFormsArithmetic) {
+  // welch_t_test is welch_from_moments over the samples' moments, bit for
+  // bit — the scalar sampler's p-values must not move.
+  Rng rng(17);
+  std::vector<double> x, y;
+  for (int i = 0; i < 40; ++i) x.push_back(rng.normal(0.0, 1.0));
+  for (int i = 0; i < 60; ++i) y.push_back(rng.normal(0.4, 2.0));
+  const auto s = welch_t_test(x, y);
+  const auto m = welch_from_moments(mean(x), variance(x), x.size(), mean(y),
+                                    variance(y), y.size());
+  EXPECT_EQ(s.t, m.t);
+  EXPECT_EQ(s.dof, m.dof);
+  EXPECT_EQ(s.p_less, m.p_less);
+  EXPECT_EQ(s.p_two_sided, m.p_two_sided);
+  // Equal variances and counts: t = delta / sqrt(2V/n) on 2n - 2 dof.
+  const auto e = welch_from_moments(1.0, 4.0, 50, 2.0, 4.0, 50);
+  EXPECT_NEAR(e.t, -1.0 / std::sqrt(2.0 * 4.0 / 50.0), 1e-12);
+  EXPECT_NEAR(e.dof, 98.0, 1e-9);
+}
+
 TEST(TTest, TinySamplesGiveNeutralFiniteResult) {
   // n < 2 on either side is defined (no UB, no assert): the evidence-free
   // verdict — neutral p = 0.5, so a degenerate sample can never implicate.
@@ -560,6 +580,17 @@ TEST(Svr, IgnoresSmallErrorsInsideTube) {
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
+}
+
+TEST(Rng, GoldenU64StreamUnchanged) {
+  // The scalar golden contract rests on the raw xoshiro256** stream: pin it.
+  // (splitmix64-seeded, values independent of platform).
+  Rng rng(1);
+  const std::uint64_t expected[] = {
+      0xb3f2af6d0fc710c5ull, 0x853b559647364ceaull, 0x92f89756082a4514ull,
+      0x642e1c7bc266a3a7ull, 0xb27a48e29a233673ull, 0x24c123126ffda722ull,
+  };
+  for (const std::uint64_t want : expected) EXPECT_EQ(rng(), want);
 }
 
 TEST(Rng, ForkDecorrelates) {
