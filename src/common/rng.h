@@ -72,18 +72,36 @@ class Rng {
   [[nodiscard]] double normal() {
     if (has_spare_) {
       has_spare_ = false;
+      if (spare_s_ != 0.0) {  // opened by skip_normal(): finish it now
+        spare_ *= polar_scale(spare_s_);
+        spare_s_ = 0.0;
+      }
       return spare_;
     }
     double u, v, s;
-    do {
-      u = uniform(-1.0, 1.0);
-      v = uniform(-1.0, 1.0);
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double m = std::sqrt(-2.0 * std::log(s) / s);
+    polar_pair(u, v, s);
+    const double m = polar_scale(s);
     spare_ = v * m;
     has_spare_ = true;
     return u * m;
+  }
+  // Advances the stream exactly as normal() does, without computing the
+  // draw: the same uniforms and rejection loop, minus the log, sqrt and
+  // divide. A pair it opens keeps (v, s) and the next normal() finishes the
+  // spare with normal()'s own arithmetic, so every value normal() returns
+  // is bitwise the one it returns with no skips in between. The Gibbs
+  // sampler calls this for updates that cannot reach the symptom.
+  void skip_normal() {
+    if (has_spare_) {
+      has_spare_ = false;
+      spare_s_ = 0.0;
+      return;
+    }
+    double u, v, s;
+    polar_pair(u, v, s);
+    spare_ = v;
+    spare_s_ = s;
+    has_spare_ = true;
   }
   // Normal with the given mean and standard deviation.
   [[nodiscard]] double normal(double mean, double stddev) {
@@ -100,8 +118,24 @@ class Rng {
   [[nodiscard]] Rng fork();
 
  private:
+  // The polar method's rejection loop: a point (u, v) uniform in the unit
+  // disc minus its center, and s = u^2 + v^2.
+  void polar_pair(double& u, double& v, double& s) {
+    do {
+      u = uniform(-1.0, 1.0);
+      v = uniform(-1.0, 1.0);
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+  }
+  [[nodiscard]] static double polar_scale(double s) {
+    return std::sqrt(-2.0 * std::log(s) / s);
+  }
+
   std::uint64_t s_[4];
   double spare_ = 0.0;
+  // Nonzero while the pending spare is unfinished: it then holds s and
+  // spare_ holds v (the rejection loop never accepts s == 0).
+  double spare_s_ = 0.0;
   bool has_spare_ = false;
 };
 

@@ -150,6 +150,7 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
   obs::Counter* c_accepted = nullptr;
   obs::Counter* c_resamples = nullptr;
   obs::Counter* c_kernel_cells = nullptr;
+  obs::Counter* c_live_cells = nullptr;
   obs::Counter* c_fast = nullptr;
   obs::Counter* c_fast_fallback = nullptr;
   obs::Histogram* h_pvalue = nullptr;
@@ -158,6 +159,7 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
     c_accepted = hooks.metrics->counter("infer.candidates_accepted");
     c_resamples = hooks.metrics->counter("infer.gibbs_node_resamples");
     c_kernel_cells = hooks.metrics->counter("infer.kernel_cells");
+    c_live_cells = hooks.metrics->counter("infer.live_cells");
     // Mode provenance: which path produced the verdicts. fast_path counts
     // exact evaluations; fast_fallback counts candidates that
     // requested fast mode but fell back to the scalar loop (non-flattened
@@ -240,6 +242,7 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
     }
     if (c_resamples != nullptr) c_resamples->add(verdict.node_resamples);
     if (c_kernel_cells != nullptr) c_kernel_cells->add(verdict.kernel_cells);
+    if (c_live_cells != nullptr) c_live_cells->add(verdict.live_cells);
     if (verdict.fast_path) {
       if (c_fast != nullptr) c_fast->add(1);
     } else if (c_fast_fallback != nullptr && verdict.path_len > 0) {

@@ -67,22 +67,16 @@ CounterfactualVerdict CounterfactualSampler::evaluate(
   const double a_cf =
       a_now + direction * opts_.counterfactual_sigmas * sigma;
 
-  // The scalar loop below is the engine's hottest code (hundreds of millions
-  // of variable draws per batch run). It is equivalent draw-for-draw to
-  // resample_path() over a fresh copy of `state` per sample, but
-  //  - the resampling order is flattened once into `order` (vars of
-  //    path[1..], the candidate's own vars stay pinned),
-  //  - conditionals are drawn through FactorSet::kernel_sample over the
-  //    shared standardized z-state (see SampleKernel),
-  //  - instead of re-copying the full state per sample, only the variables
-  //    this path actually writes (`order` + a_var) are restored,
-  // none of which changes a single draw or FP operation.
+  // Resampling order: the vars of path[1..] in path order; the candidate's
+  // own vars stay pinned. One sample of one side is the unrolled sweep of
+  // `rounds` x `order` steps, each writing one variable.
   thread_local std::vector<VarIndex> order;
   order.clear();
   for (std::size_t i = 1; i < path.size(); ++i)
     for (const VarIndex v : space_.vars_of(path[i])) order.push_back(v);
 
   const SampleKernel& kernel = factors_.kernel();
+  const std::size_t rounds = opts_.gibbs_rounds;
   std::size_t cells_per_round = 0;
   bool all_flat = true;
   for (const VarIndex v : order) {
@@ -90,16 +84,44 @@ CounterfactualVerdict CounterfactualSampler::evaluate(
     all_flat = all_flat && kernel.vars[v].flat;
   }
   verdict.kernel_cells =
-      2 * opts_.num_samples * opts_.gibbs_rounds * cells_per_round;
+      2 * opts_.num_samples * rounds * cells_per_round;
 
+  // Liveness (DESIGN.md §11): which steps can reach d's final value. Walk
+  // the unrolled sweep backward from live = {d_var}; a step is live iff its
+  // variable is live, and a live step kills its variable (the write hides
+  // the older value) and makes its features live. Non-flattened steps read
+  // the raw state through their own predict(), so they always count as live.
+  // The mask depends on the graph and factors alone, never on a draw, so
+  // it is the same for every sample and both sides.
   const std::size_t n_vars = state.size();
+  thread_local std::vector<char> live_var, live_step;
+  live_var.assign(n_vars, 0);
+  live_var[d_var] = 1;
+  live_step.resize(rounds * order.size());
+  std::size_t live_cells_per_sample = 0;
+  for (std::size_t k = live_step.size(); k-- > 0;) {
+    const VarIndex v = order[k % order.size()];
+    const SampleKernel::VarEntry& e = kernel.vars[v];
+    live_step[k] = static_cast<char>(!e.flat || live_var[v] != 0);
+    if (live_step[k] == 0) continue;
+    live_var[v] = 0;
+    live_cells_per_sample += e.count;
+    if (e.flat) {
+      for (std::uint32_t j = e.begin; j < e.begin + e.count; ++j)
+        live_var[kernel.feat[j]] = 1;
+    } else {
+      for (const VarIndex f : factors_.conditional(v).features())
+        live_var[f] = 1;
+    }
+  }
+  verdict.live_cells = 2 * opts_.num_samples * live_cells_per_sample;
+
   thread_local std::vector<double> work, cent, cent0, d1, d2, adj;
   cent.resize(n_vars);
   for (VarIndex v = 0; v < n_vars; ++v)
     cent[v] = factors_.center(v, state[v]);
   cent0.assign(cent.begin(), cent.end());
   const double a_cf_c = factors_.center(a_var, a_cf);
-  const std::size_t rounds = opts_.gibbs_rounds;
 
   stats::TTestResult t;
   if (opts_.fast_inference && all_flat) {
@@ -147,6 +169,27 @@ CounterfactualVerdict CounterfactualSampler::evaluate(
                                   opts_.num_samples, verdict.mean_factual,
                                   var, opts_.num_samples);
   } else {
+    // The scalar Monte-Carlo loop, the engine's hottest code. It draws
+    // exactly what resample_path() over a fresh copy of `state` per sample
+    // would (tests/fast_inference_test.cpp checks it bitwise), but
+    //  - conditionals are drawn through FactorSet::kernel_sample over the
+    //    shared standardized z-state (see SampleKernel);
+    //  - a dead step only advances the stream (Rng::skip_normal): every
+    //    conditional draws exactly one normal, so each live step still gets
+    //    the draw it would get with every step computed, and a dead step's
+    //    value is never read by a live one;
+    //  - instead of re-copying the full state per sample, only the
+    //    variables a live step writes (and a_var) are restored.
+    thread_local std::vector<VarIndex> written;
+    written.clear();
+    for (std::size_t j = 0; j < order.size(); ++j) {
+      for (std::size_t round = 0; round < rounds; ++round) {
+        if (live_step[round * order.size() + j] != 0) {
+          written.push_back(order[j]);
+          break;
+        }
+      }
+    }
     work.assign(state.begin(), state.end());
     d1.clear();
     d2.clear();
@@ -156,15 +199,20 @@ CounterfactualVerdict CounterfactualSampler::evaluate(
                         std::vector<double>& out) {
       work[a_var] = a_start;
       cent[a_var] = a_start_c;
+      const char* live = live_step.data();
       for (std::size_t round = 0; round < rounds; ++round) {
         for (const VarIndex v : order) {
+          if (*live++ == 0) {
+            rng.skip_normal();
+            continue;
+          }
           const double val = factors_.kernel_sample(v, work, cent, rng);
           work[v] = val;
           cent[v] = factors_.center(v, val);
         }
       }
       out.push_back(work[d_var]);
-      for (const VarIndex v : order) {
+      for (const VarIndex v : written) {
         work[v] = state[v];
         cent[v] = cent0[v];
       }

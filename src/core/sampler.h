@@ -11,6 +11,10 @@
 //  5. a one-sided Welch t-test decides whether the counterfactual moved the
 //     symptom toward normal — if so, A is a root cause.
 //
+// The scalar sampler computes only the resampling updates that can reach
+// D's final value; the others just advance the random stream, so every
+// verdict is bitwise the one of the full sweep (DESIGN.md §11).
+//
 // The opt-in exact path (SamplerOptions::fast_inference, DESIGN.md §11)
 // replaces steps 4-5 on paths whose conditionals are all flattened ridge
 // factors: d1 and d2 are then exactly Gaussian, so their means and shared
@@ -67,6 +71,10 @@ struct CounterfactualVerdict {
   // grid for the same request, so the accounting is a function of the
   // request, never of the execution mode (regression-tested).
   std::size_t kernel_cells = 0;
+  // The subset of kernel_cells in live steps, those that can reach d's final
+  // value (DESIGN.md §11); the scalar loop computes only these. Structural
+  // like kernel_cells, so both modes report the same count.
+  std::size_t live_cells = 0;
   // True when the exact path produced this verdict (false in scalar mode and
   // for per-candidate fallbacks), so audits record which mode it came from.
   bool fast_path = false;

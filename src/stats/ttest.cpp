@@ -123,19 +123,14 @@ TTestResult welch_from_moments(double mx, double vx, std::size_t x_count,
   TTestResult r;
   const double se2 = vx / nx + vy / ny;
   if (se2 < 1e-300) {
-    // Both samples are (numerically) constant.
+    // Both samples are (numerically) constant. Equal constants carry no
+    // evidence either way: p_less = 1 would read as "certainly higher" and,
+    // flipped for a LOW symptom, implicate a candidate with p = 0.
+    if (mx == my) return degenerate_ttest();
     r.t = 0.0;
     r.dof = nx + ny - 2.0;
-    if (mx < my) {
-      r.p_less = 0.0;
-      r.p_two_sided = 0.0;
-    } else if (mx > my) {
-      r.p_less = 1.0;
-      r.p_two_sided = 0.0;
-    } else {
-      r.p_less = 1.0;
-      r.p_two_sided = 1.0;
-    }
+    r.p_less = mx < my ? 0.0 : 1.0;
+    r.p_two_sided = 0.0;
     return r;
   }
 

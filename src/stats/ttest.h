@@ -18,12 +18,13 @@ struct TTestResult {
 
 // Total on all inputs — the output is always finite with p values in
 // [0, 1] (DESIGN.md §8):
-//  * both samples zero-variance: p = 1 when means are equal, p = 0/1 for
-//    the appropriate direction otherwise;
-//  * fewer than 2 elements on either side, or non-finite values anywhere:
-//    the evidence-free result (t = 0, p_less = 0.5, p_two_sided = 1) —
-//    neutral, so a degenerate sample can never implicate a candidate
-//    (counter `stats.ttest_degenerate`).
+//  * both samples zero-variance with different means: p_less = 0/1 for
+//    the appropriate direction, p_two_sided = 0;
+//  * fewer than 2 elements on either side, non-finite values anywhere, or
+//    both samples the same constant: the evidence-free result (t = 0,
+//    p_less = 0.5, p_two_sided = 1) — neutral in both directions, so a
+//    degenerate sample can never implicate a candidate (counter
+//    `stats.ttest_degenerate`).
 [[nodiscard]] TTestResult welch_t_test(std::span<const double> x,
                                        std::span<const double> y);
 

@@ -1,6 +1,8 @@
 // Unit tests for the stats substrate: matrix kernels, summaries,
 // correlations, t-tests and the four predictor families.
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -8,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/obs/metrics.h"
 #include "src/stats/correlation.h"
 #include "src/stats/gmm.h"
 #include "src/stats/matrix.h"
@@ -179,6 +182,30 @@ TEST(TTest, DegenerateConstantSamples) {
   EXPECT_DOUBLE_EQ(welch_t_test(a, b).p_less, 0.0);
   EXPECT_DOUBLE_EQ(welch_t_test(b, a).p_less, 1.0);
   EXPECT_DOUBLE_EQ(welch_t_test(a, a).p_two_sided, 1.0);
+}
+
+TEST(TTest, EqualConstantSamplesAreNeutral) {
+  // Equal constants carry no evidence in either direction. p_less must be
+  // the neutral 0.5: with p_less = 1 the sampler's flip for a LOW symptom
+  // (p = 1 - p_less) would accept a candidate at p = 0.
+  obs::Counter* degenerate =
+      obs::global_metrics().counter("stats.ttest_degenerate");
+  const std::uint64_t before = degenerate->value();
+  const std::vector<double> a{2.5, 2.5, 2.5, 2.5};
+  const auto r = welch_t_test(a, a);
+  EXPECT_EQ(r.t, 0.0);
+  EXPECT_EQ(r.p_less, 0.5);
+  EXPECT_EQ(1.0 - r.p_less, 0.5);
+  EXPECT_EQ(r.p_two_sided, 1.0);
+  const auto m = welch_from_moments(-3.0, 0.0, 500, -3.0, 0.0, 500);
+  EXPECT_EQ(m.p_less, 0.5);
+  EXPECT_EQ(m.p_two_sided, 1.0);
+  EXPECT_EQ(degenerate->value(), before + 2);
+  // Distinct constants keep their certain direction.
+  const std::vector<double> b{3.0, 3.0, 3.0, 3.0};
+  EXPECT_EQ(welch_t_test(a, b).p_less, 0.0);
+  EXPECT_EQ(welch_t_test(b, a).p_less, 1.0);
+  EXPECT_EQ(welch_t_test(a, b).p_two_sided, 0.0);
 }
 
 TEST(TTest, MomentFormIsTheSampleFormsArithmetic) {
@@ -591,6 +618,42 @@ TEST(Rng, GoldenU64StreamUnchanged) {
       0x642e1c7bc266a3a7ull, 0xb27a48e29a233673ull, 0x24c123126ffda722ull,
   };
   for (const std::uint64_t want : expected) EXPECT_EQ(rng(), want);
+}
+
+TEST(Rng, SkipNormalKeepsEveryDrawnValueBitwise) {
+  // skip_normal() must advance the stream exactly like normal(): at every
+  // interleaving of the two over kLen positions (so skips land on both the
+  // first and the second value of polar pairs), each value normal() returns
+  // is bitwise the plain stream's value at that position. Three starts: a
+  // fresh generator, a finished spare pending (one normal() drawn), and an
+  // unfinished spare pending (one skip_normal() drawn).
+  constexpr int kLen = 9;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (int start = 0; start < 3; ++start) {
+    SCOPED_TRACE("start " + std::to_string(start));
+    Rng plain(2024);
+    if (start > 0) (void)plain.normal();
+    std::vector<double> want(kLen + 1);
+    for (double& x : want) x = plain.normal();
+    const std::uint64_t want_next = plain();
+    for (unsigned mask = 0; mask < (1u << kLen); ++mask) {
+      Rng rng(2024);
+      if (start == 1) (void)rng.normal();
+      if (start == 2) rng.skip_normal();
+      for (int i = 0; i < kLen; ++i) {
+        if ((mask >> i & 1u) != 0) {
+          ASSERT_EQ(bits(rng.normal()), bits(want[i]))
+              << "mask " << mask << " position " << i;
+        } else {
+          rng.skip_normal();
+        }
+      }
+      // The generator state is aligned too: the next draw and the raw
+      // stream after it match.
+      ASSERT_EQ(bits(rng.normal()), bits(want[kLen])) << "mask " << mask;
+      ASSERT_EQ(rng(), want_next) << "mask " << mask;
+    }
+  }
 }
 
 TEST(Rng, ForkDecorrelates) {
