@@ -40,11 +40,13 @@ double train_all(const telemetry::MonitoringDb& db,
     const std::vector<EntityId> seed_vec{symptom.entity};
     const auto graph = graph::RelationshipGraph::build(db, seed_vec);
     const core::MetricSpace space(db, graph);
-    core::FactorTrainingOptions topts;
-    topts.caches = caches;
+    const core::FactorTrainingOptions topts;
     if (caches != nullptr) caches->renew(db, topts);
-    const core::FactorSet factors_set(db, graph, space, train_begin,
-                                      train_end, topts);
+    // The global registry collects the cache hit/miss counters for the
+    // BENCH snapshot.
+    const core::FactorSet factors_set(
+        db, graph, space, train_begin, train_end, topts, /*seed=*/1,
+        /*num_threads=*/1, caches, {.metrics = &obs::global_metrics()});
     factors += factors_set.size();
   }
   const auto t1 = std::chrono::steady_clock::now();

@@ -157,7 +157,7 @@ core::MurphyDiagnoser make_murphy(bool fast, std::uint64_t seed) {
   // p-value estimates or membership flips would mask real regressions.
   mopts.sampler.num_samples = bench::full_scale() ? 2000 : 800;
   mopts.seed = seed;
-  mopts.fast_inference = fast;
+  mopts.sampler.fast_inference = fast;
   mopts.obs.metrics = &obs::global_metrics();
   mopts.obs.collect_audit = true;
   return core::MurphyDiagnoser(mopts);

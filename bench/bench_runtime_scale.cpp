@@ -44,9 +44,9 @@ void BM_OnlineTraining(benchmark::State& state) {
   const auto graph = graph::RelationshipGraph::build(topo.db, seeds, 4);
   const core::MetricSpace space(topo.db, graph);
   for (auto _ : state) {
-    core::FactorTrainingOptions opts;
-    opts.num_threads = threads;
-    const core::FactorSet factors(topo.db, graph, space, 0, slices, opts);
+    const core::FactorSet factors(topo.db, graph, space, 0, slices,
+                                  core::FactorTrainingOptions{}, /*seed=*/1,
+                                  threads);
     benchmark::DoNotOptimize(&factors);
   }
   state.counters["entities"] = static_cast<double>(graph.node_count());
@@ -88,9 +88,10 @@ void BM_CounterfactualEvaluation(benchmark::State& state) {
   sopts.gibbs_rounds = rounds;
   sopts.num_samples = 100;
   core::CounterfactualSampler sampler(graph, space, factors, sopts);
+  Rng rng(1);
   for (auto _ : state) {
     auto verdict = sampler.evaluate(cand, cand_var, sym, sym_var, state_vec,
-                                    true);
+                                    true, rng);
     benchmark::DoNotOptimize(verdict);
   }
   state.counters["W"] = static_cast<double>(rounds);
@@ -134,8 +135,6 @@ void BM_EndToEndDiagnosis(benchmark::State& state) {
 //       for PhaseTimings but record nothing);
 //   1 = metrics only;
 //   2 = fully enabled: tracer + metrics + per-candidate audit records.
-// The compiled-out point needs a -DMURPHY_OBS_COMPILED_OUT=ON build of this
-// same binary; mode 0 of that build is the "compiled out" row.
 void BM_TracingOverhead(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   const auto topo = make_env(6, 168);

@@ -110,7 +110,7 @@ int main() {
   std::vector<EntityId> scalar_top1(dataset.size(), EntityId(0));
   for (const bool fast : {false, true}) {
     core::MurphyOptions mopts = schemes.murphy->options();
-    mopts.fast_inference = fast;
+    mopts.sampler.fast_inference = fast;
     core::MurphyDiagnoser murphy(mopts);
     for (std::size_t i = 0; i < dataset.size(); ++i) {
       const auto r = murphy.diagnose(eval::request_for(dataset[i]));

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "murphy_git_sha.h"
 #include "src/baselines/explainit.h"
 #include "src/baselines/netmedic.h"
 #include "src/baselines/sage.h"
@@ -39,15 +40,6 @@ inline std::size_t scaled(std::size_t quick, std::size_t full) {
   return full_scale() ? full : quick;
 }
 
-// MURPHY_FAST_INFERENCE=1 runs every make_schemes() Murphy instance with
-// exact counterfactual inference (MurphyOptions::fast_inference). The mode
-// is stamped into the BENCH_*.json header alongside num_threads/build_flags
-// so fast and scalar baselines can never be silently compared.
-inline bool fast_inference_env() {
-  const char* env = std::getenv("MURPHY_FAST_INFERENCE");
-  return env != nullptr && std::string(env) == "1";
-}
-
 struct SchemeSet {
   std::unique_ptr<core::MurphyDiagnoser> murphy;
   std::unique_ptr<baselines::Sage> sage;
@@ -66,7 +58,6 @@ inline SchemeSet make_schemes(std::uint64_t seed = 1) {
   SchemeSet s;
   core::MurphyOptions mopts;
   mopts.sampler.num_samples = full_scale() ? 500 : 150;
-  mopts.fast_inference = fast_inference_env();
   mopts.seed = seed;
   mopts.obs.metrics = &obs::global_metrics();
   s.murphy = std::make_unique<core::MurphyDiagnoser>(mopts);
@@ -124,11 +115,9 @@ inline std::string workloads_json() {
   return out;
 }
 
-// Provenance stamped into every snapshot (configure-time capture; see
-// bench/CMakeLists.txt).
-#ifndef MURPHY_GIT_SHA
-#define MURPHY_GIT_SHA "unknown"
-#endif
+// Provenance stamped into every snapshot: MURPHY_GIT_SHA comes from
+// murphy_git_sha.h, written at build time; the flags from configure time
+// (see bench/CMakeLists.txt).
 #ifndef MURPHY_BUILD_FLAGS
 #define MURPHY_BUILD_FLAGS "unknown"
 #endif
@@ -180,11 +169,6 @@ inline void write_bench_json(const char* name) {
   out += host_json();
   out += ",\"num_threads\":";
   out += std::to_string(resolve_num_threads(0));
-  // Inference-mode knobs: snapshots from different modes are not comparable
-  // (fast mode trades the bitwise contract for throughput), so the header
-  // carries the mode next to the other provenance fields.
-  out += ",\"fast_inference\":";
-  out += fast_inference_env() ? "true" : "false";
   if (!workload_stamps().empty()) {
     out += ",\"workloads\":";
     out += workloads_json();

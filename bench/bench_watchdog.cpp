@@ -61,6 +61,7 @@ CaseOutcome run_case(const emulation::DiagnosisCase& c) {
   sopts.murphy.num_threads = 1;
   sopts.murphy.sampler.num_samples = bench::full_scale() ? 500 : 150;
   sopts.murphy.seed = 7;
+  sopts.murphy.obs.metrics = &obs::global_metrics();
   service::DiagnosisService svc(stream, sopts);
   watchdog::Watchdog wd(stream, svc, {});
   wd.attach();

@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
   sopts.murphy.num_threads = 1;  // concurrency comes from the worker pool
   // Exact counterfactual inference (statistical-equivalence contract;
   // audits and the infer.fast_path counter record the mode per verdict).
-  sopts.murphy.fast_inference = args.fast_inference;
+  sopts.murphy.sampler.fast_inference = args.fast_inference;
   sopts.murphy.obs.metrics = &obs::global_metrics();
   sopts.murphy.obs.collect_audit = !args.audit_out.empty();
   service::DiagnosisService svc(stream, sopts);

@@ -43,9 +43,9 @@ core::DiagnosisResult ExplainIt::diagnose(
     const core::FactorSet factors(db, graph, space, request.train_begin,
                                   request.train_end, topts);
     const auto state = space.snapshot(db, request.now);
-    core::CandidateSearchOptions sopts;
     candidates = core::candidate_search(db, graph, space, factors, state,
-                                        *symptom_node, sopts);
+                                        *symptom_node, core::Thresholds{},
+                                        core::CandidateSearchOptions{});
   } else {
     candidates.resize(graph.node_count());
     for (graph::NodeIndex n = 0; n < graph.node_count(); ++n)

@@ -127,9 +127,9 @@ core::DiagnosisResult NetMedic::diagnose(
   // Candidate set (shared pruned space for fairness, per the paper).
   std::vector<graph::NodeIndex> candidates;
   if (opts_.use_pruned_search_space) {
-    core::CandidateSearchOptions sopts;
     candidates = core::candidate_search(db, graph, space, factors, state,
-                                        *symptom_node, sopts);
+                                        *symptom_node, core::Thresholds{},
+                                        core::CandidateSearchOptions{});
   } else {
     candidates.resize(graph.node_count());
     for (graph::NodeIndex n = 0; n < graph.node_count(); ++n)

@@ -175,9 +175,8 @@ core::DiagnosisResult Sage::diagnose(const core::DiagnosisRequest& request) {
     for (std::size_t r = 0; r < rows; ++r)
       for (std::size_t c = 0; c < m.features.size(); ++c)
         x.at(r, c) = hist[m.features[c]][r];
-    stats::PredictorOptions popts = opts_.predictor;
-    popts.seed = rng();
-    m.predictor = stats::make_predictor(opts_.node_model, popts);
+    m.predictor =
+        stats::make_predictor(opts_.node_model, opts_.predictor, rng());
     m.predictor->fit(x, hist[v]);
   }
 

@@ -41,12 +41,12 @@ std::vector<graph::NodeIndex> candidate_search(
     const telemetry::MonitoringDb& db, const graph::RelationshipGraph& graph,
     const MetricSpace& space, const FactorSet& factors,
     std::span<const double> state, graph::NodeIndex symptom,
-    const CandidateSearchOptions& opts) {
+    const Thresholds& thresholds, const CandidateSearchOptions& opts) {
   auto suspicious = [&](graph::NodeIndex n) {
     for (const VarIndex v : space.vars_of(n)) {
       const auto& var = space.var(v);
       const auto name = db.catalog().name(var.kind);
-      if (opts.thresholds.is_above(name, state[v])) return true;
+      if (thresholds.is_above(name, state[v])) return true;
       if (variable_anomaly(factors, v, state[v]) > opts.z_min) return true;
     }
     return false;

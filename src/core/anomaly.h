@@ -37,7 +37,6 @@ struct NodeAnomaly {
                                        std::span<const double> state);
 
 struct CandidateSearchOptions {
-  Thresholds thresholds;
   // Alternative criterion for metrics that collapse rather than spike (a
   // crashed VM's CPU never crosses a "too high" threshold): a metric is
   // suspicious when |z| exceeds this.
@@ -49,13 +48,14 @@ struct CandidateSearchOptions {
 };
 
 // The pruned candidate set (§4.2): BFS from `symptom`, expanding only
-// through entities with at least one suspicious metric. The symptom node
+// through entities with at least one suspicious metric (a value above its
+// `thresholds` entry, or |z| above opts.z_min). The symptom node
 // itself is always included and is a legal candidate (self-caused
 // incidents exist, e.g. a stuck process on the symptomatic VM).
 [[nodiscard]] std::vector<graph::NodeIndex> candidate_search(
     const telemetry::MonitoringDb& db, const graph::RelationshipGraph& graph,
     const MetricSpace& space, const FactorSet& factors,
     std::span<const double> state, graph::NodeIndex symptom,
-    const CandidateSearchOptions& opts);
+    const Thresholds& thresholds, const CandidateSearchOptions& opts);
 
 }  // namespace murphy::core

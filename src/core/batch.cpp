@@ -41,10 +41,9 @@ BatchResult BatchDiagnoser::diagnose_app(const telemetry::MonitoringDb& db,
                                          AppId app, TimeIndex now,
                                          TimeIndex train_begin,
                                          TimeIndex train_end) {
-  SymptomFinderOptions fopts = opts_.finder;
-  fopts.history_begin = train_begin;
-  return diagnose_symptoms(db, find_symptoms(db, app, now, fopts), now,
-                           train_begin, train_end);
+  return diagnose_symptoms(
+      db, find_symptoms(db, app, now, opts_.finder, train_begin), now,
+      train_begin, train_end);
 }
 
 BatchResult BatchDiagnoser::diagnose_symptoms(
@@ -72,13 +71,12 @@ BatchResult BatchDiagnoser::diagnose_symptoms(
       result.symptoms.size() > 1)
     inner.num_threads = 1;
 
-  // Value writes retire stale cache entries by changing their keys (see
-  // FactorTrainingOptions::caches); identity, structure and option changes
-  // start a new generation. No cache reference is live between calls, so
-  // this is where the maps are pruned back under their bound.
+  // Value writes retire stale cache entries by changing their keys (see the
+  // FactorSet constructor); identity, structure and option changes start a
+  // new generation. No cache reference is live between calls, so this is
+  // where the maps are pruned back under their bound.
   caches_.renew(db, opts_.murphy.training);
   caches_.prune();
-  inner.training.caches = &caches_;
   parallel_for(
       opts_.murphy.num_threads, result.symptoms.size(), [&](std::size_t i) {
         // Explicit parent + symptom index as stream: the nested diagnosis
@@ -88,7 +86,7 @@ BatchResult BatchDiagnoser::diagnose_symptoms(
                                batch_span_id);
         if (symptom_span.enabled())
           symptom_span.arg("metric", result.symptoms[i].metric);
-        MurphyDiagnoser murphy(inner);
+        MurphyDiagnoser murphy(inner, &caches_);
         DiagnosisRequest request;
         request.db = &db;
         request.symptom_entity = result.symptoms[i].entity;

@@ -6,6 +6,7 @@
 // evaluation harness and benches can treat them interchangeably.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,15 @@ struct DiagnosisRequest {
 
   // Relationship-graph expansion depth from the symptom entity (§4.1).
   std::size_t max_hops = 4;
+
+  // Cooperative cancellation (the service's per-request deadline, DESIGN.md
+  // §9). When set, MurphyDiagnoser polls it between phases; once it returns
+  // true the remaining phases are abandoned and the result comes back with
+  // `cancelled` set and no causes. Polling happens ONLY at phase boundaries,
+  // so a completed diagnosis is bit-identical whether or not a hook was
+  // attached — cancellation can stop work, never alter it. Baselines ignore
+  // it.
+  std::function<bool()> cancel;
 };
 
 struct RankedRootCause {
@@ -78,7 +88,7 @@ struct DiagnosisResult {
   obs::DiagnosisAudit audit;
 
   // True when the diagnosis was abandoned at a phase boundary by the
-  // cooperative cancellation hook (MurphyOptions::cancel — the service's
+  // cooperative cancellation hook (DiagnosisRequest::cancel — the service's
   // deadline enforcement). A cancelled result carries no causes; consumers
   // must check this before trusting an empty ranking to mean "healthy".
   bool cancelled = false;

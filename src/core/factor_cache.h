@@ -69,9 +69,9 @@ struct CachedFactor {
 
 using FactorCache = stats::BuildOnceMap<CachedFactor>;
 
-// Both training caches plus the generation they are valid for. Attach one
-// to FactorTrainingOptions::caches; DiagnosisService and BatchDiagnoser each
-// own one.
+// Both training caches plus the generation they are valid for. Pass one to
+// MurphyDiagnoser (or the FactorSet constructor); DiagnosisService and
+// BatchDiagnoser each own one.
 class TrainingCaches {
  public:
   static constexpr std::size_t kDefaultMaxEntries = 8192;

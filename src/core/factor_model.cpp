@@ -45,15 +45,18 @@ double MetricConditional::sample(std::span<const double> state,
 FactorSet::FactorSet(const telemetry::MonitoringDb& db,
                      const graph::RelationshipGraph& graph,
                      const MetricSpace& space, TimeIndex train_begin,
-                     TimeIndex train_end, const FactorTrainingOptions& opts) {
+                     TimeIndex train_end, const FactorTrainingOptions& opts,
+                     std::uint64_t seed, std::size_t num_threads,
+                     TrainingCaches* caches, const obs::ObsHooks& hooks,
+                     std::uint64_t trace_parent) {
   // Degenerate training windows (empty after a symptom at t=0, or inverted
   // after clock-skewed telemetry) are defined, not asserted: clamp to an
   // empty window, which trains flat hist-mean conditionals everywhere
   // (DESIGN.md §8, counter `train.empty_windows`).
   if (train_end < train_begin) train_end = train_begin;
   const std::size_t n_rows = train_end - train_begin;
-  if (n_rows == 0 && opts.metrics != nullptr)
-    opts.metrics->counter("train.empty_windows")->add(1);
+  if (n_rows == 0 && hooks.metrics != nullptr)
+    hooks.metrics->counter("train.empty_windows")->add(1);
   conditionals_.resize(space.size());
 
   // Per-variable window moments (mean, centered column, sum of squares):
@@ -67,15 +70,17 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   // windows share one cache generation.
   const std::uint64_t window_key =
       (static_cast<std::uint64_t>(train_begin) << 32) | train_end;
-  if (opts.caches != nullptr) {
-    static obs::Counter* const c_window_hits =
-        obs::global_metrics().counter("cache.window_hits");
-    static obs::Counter* const c_window_misses =
-        obs::global_metrics().counter("cache.window_misses");
+  if (caches != nullptr) {
+    obs::Counter* c_window_hits = nullptr;
+    obs::Counter* c_window_misses = nullptr;
+    if (hooks.metrics != nullptr) {
+      c_window_hits = hooks.metrics->counter("cache.window_hits");
+      c_window_misses = hooks.metrics->counter("cache.window_misses");
+    }
     for (VarIndex v = 0; v < space.size(); ++v) {
       const auto& var = space.var(v);
       // A write to this series changes its epoch, hence the key: the stale
-      // column is simply never looked up again (see FactorTrainingOptions).
+      // column is simply never looked up again (see the FactorSet ctor).
       std::uint64_t key = hash_mix(
           0xE90C4B11u,
           (static_cast<std::uint64_t>(var.entity.value()) << 32) |
@@ -83,14 +88,15 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
       key = hash_mix(key, db.metrics().series_epoch(var.entity, var.kind));
       key = hash_mix(key, window_key);
       bool built = false;
-      col[v] = &opts.caches->window_stats().get_or_build(
+      col[v] = &caches->window_stats().get_or_build(
           key,
           [&] {
             return stats::build_column_moments(
                 space.history(db, v, train_begin, train_end));
           },
           &built);
-      (built ? c_window_misses : c_window_hits)->add(1);
+      if (hooks.metrics != nullptr)
+        (built ? c_window_misses : c_window_hits)->add(1);
     }
   } else {
     local.resize(space.size());
@@ -109,11 +115,11 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   obs::Counter* c_cache_hits = nullptr;
   obs::Counter* c_cache_misses = nullptr;
   obs::Histogram* h_features = nullptr;
-  if (opts.metrics != nullptr) {
-    c_fits = opts.metrics->counter("train.factors_trained");
-    c_pruned = opts.metrics->counter("train.features_pruned_one_in_ten");
-    c_corr_cells = opts.metrics->counter("train.corr_cells");
-    h_features = opts.metrics->histogram(
+  if (hooks.metrics != nullptr) {
+    c_fits = hooks.metrics->counter("train.factors_trained");
+    c_pruned = hooks.metrics->counter("train.features_pruned_one_in_ten");
+    c_corr_cells = hooks.metrics->counter("train.corr_cells");
+    h_features = hooks.metrics->histogram(
         "train.features_per_factor",
         {0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0});
   }
@@ -123,7 +129,7 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   // a function of the candidate histories and options alone, which is what
   // makes the result shareable across symptoms (see FactorCache).
   auto train_target = [&](VarIndex target, obs::Tracer* tracer) {
-    obs::Span fit_span(tracer, "fit_factor", target, opts.trace_parent);
+    obs::Span fit_span(tracer, "fit_factor", target, trace_parent);
     const auto& tvar = space.var(target);
     const stats::ColumnMoments& ty = *col[target];
 
@@ -175,9 +181,8 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
       for (std::size_t r = 0; r < n_rows; ++r)
         for (std::size_t c = 0; c < features.size(); ++c)
           x.at(r, c) = col[features[c]]->values[r];
-      stats::PredictorOptions popts = opts.predictor;
-      popts.seed = mix_seed(opts.seed, target);
-      model = stats::make_predictor(opts.model, popts);
+      model = stats::make_predictor(opts.model, opts.predictor,
+                                    mix_seed(seed, target));
       if (opts.recency_half_life > 0.0 &&
           opts.model == stats::ModelKind::kRidge) {
         stats::Vector weights(n_rows);
@@ -243,13 +248,13 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   };
 
   // The factor cache only engages for ridge: its closed-form fit ignores
-  // popts.seed, which is the one graph-dependent fit input (mix_seed over
-  // VarIndex). Stochastic families train per graph.
-  const bool cacheable = opts.caches != nullptr &&
-                         opts.model == stats::ModelKind::kRidge;
-  if (cacheable && opts.metrics != nullptr) {
-    c_cache_hits = opts.metrics->counter("cache.factor_hits");
-    c_cache_misses = opts.metrics->counter("cache.factor_misses");
+  // the predictor seed, which is the one graph-dependent fit input
+  // (mix_seed over VarIndex). Stochastic families train per graph.
+  const bool cacheable =
+      caches != nullptr && opts.model == stats::ModelKind::kRidge;
+  if (cacheable && hooks.metrics != nullptr) {
+    c_cache_hits = hooks.metrics->counter("cache.factor_hits");
+    c_cache_misses = hooks.metrics->counter("cache.factor_misses");
   }
 
   // The node part of every factor key, shared by all metric kinds of the
@@ -258,11 +263,11 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   // FactorCache), and the (kind, epoch) vector of every series the trainer
   // may read — the node entity's and each in-neighbor's. A write to any of
   // them (or a freshly appearing series) changes the key; everything else
-  // keeps hitting (see FactorTrainingOptions::caches).
+  // keeps hitting (see the FactorSet ctor).
   std::vector<std::uint64_t> node_key;
   if (cacheable) {
     node_key.resize(graph.node_count());
-    parallel_for(opts.num_threads, graph.node_count(), [&](std::size_t n) {
+    parallel_for(num_threads, graph.node_count(), [&](std::size_t n) {
       std::vector<std::uint32_t> ents;
       for (const graph::NodeIndex nb : graph.in_neighbors(n))
         ents.push_back(graph.entity_of(nb).value());
@@ -283,9 +288,9 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   }
 
   // One ridge fit per variable, all independent: parallelize over targets.
-  // Each target's predictor seed is derived from (opts.seed, target) alone,
-  // so the trained set is bitwise identical at any thread count.
-  parallel_for(opts.num_threads, space.size(), [&](std::size_t t) {
+  // Each target's predictor seed is derived from (seed, target) alone, so
+  // the trained set is bitwise identical at any thread count.
+  parallel_for(num_threads, space.size(), [&](std::size_t t) {
     const VarIndex target = t;
     if (cacheable) {
       const auto& tvar = space.var(target);
@@ -296,7 +301,7 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
       // miss is scheduling-dependent, and per-fit spans would make traces
       // vary run to run. Counter totals stay deterministic (misses = unique
       // keys, hits = lookups - misses).
-      const CachedFactor& cf = opts.caches->factors().get_or_build(
+      const CachedFactor& cf = caches->factors().get_or_build(
           key, [&] { return train_target(target, nullptr); }, &trained);
       if (trained) {
         if (c_cache_misses != nullptr) c_cache_misses->add(1);
@@ -306,7 +311,7 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
       bind_factor(target, cf);
       return;
     }
-    bind_factor(target, train_target(target, opts.tracer));
+    bind_factor(target, train_target(target, hooks.tracer));
   });
 
   build_kernel();

@@ -94,36 +94,6 @@ struct FactorTrainingOptions {
   // inform the fit without drowning the freshest in-incident points.
   // 0 = uniform weighting (the paper's shipped configuration).
   double recency_half_life = 0.0;
-  std::uint64_t seed = 1;
-  // Threads for the per-variable fits (each fit is independent). 0 = one per
-  // hardware core, 1 = serial. Any value yields bitwise-identical factors:
-  // predictor seeds are derived per variable via mix_seed, not drawn from a
-  // shared sequential stream.
-  std::size_t num_threads = 1;
-  // Optional observability sinks (null = off). `trace_parent` is the stable
-  // span id the per-variable fit spans attach to — fits run on worker
-  // threads whose span stacks are empty, so the parent must be explicit for
-  // the trace to be identical at every thread count.
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  std::uint64_t trace_parent = 0;
-  // Optional training caches (null = train everything locally): the
-  // per-column moment cache (correlations against cached columns are single
-  // dot products) and cross-symptom factor reuse (each (entity, kind,
-  // in-neighbor-set) conditional trains once and is shared; ridge only,
-  // since stochastic families seed per VarIndex, which is graph-dependent).
-  // Both yield bitwise-identical factors (see factor_cache.h for the proof).
-  // Every key mixes in the train window and the write epoch
-  // (MetricStore::series_epoch) of each series the entry reads: the window
-  // stats key covers the one series the column reads, the factor key the
-  // target plus every candidate-feature series (all metric kinds of the
-  // target's entity and of its sorted in-neighbor entities, so a freshly
-  // appearing series changes the key too). A value write therefore retires
-  // exactly the entries that read the touched series, and requests with
-  // different windows coexist. The CALLER owns the rest of validity: call
-  // caches->renew(db, opts) before training (DiagnosisService and
-  // BatchDiagnoser do).
-  TrainingCaches* caches = nullptr;
 };
 
 // Flattened, allocation-free view of the trained conditionals, built once
@@ -166,13 +136,44 @@ struct SampleKernel {
 // The MRF: one MetricConditional per variable, trained online.
 class FactorSet {
  public:
-  // Trains every conditional on the window [train_begin, train_end).
-  // Training parallelizes over variables per opts.num_threads; the trained
-  // set is immutable afterwards and safe for concurrent readers.
+  // Trains every conditional on the window [train_begin, train_end); the
+  // trained set is immutable afterwards and safe for concurrent readers.
+  //
+  // The per-call inputs that are not training options (MurphyDiagnoser
+  // derives them from its own options and hooks):
+  //  - seed: each target's predictor seed is mix_seed(seed, target), so
+  //    stochastic families are reproducible per variable.
+  //  - num_threads: threads for the independent per-variable fits; 0 = one
+  //    per hardware core, 1 = serial. Any value yields bitwise-identical
+  //    factors, since no fit draws from a shared sequential stream.
+  //  - caches: optional training caches (null = train everything locally):
+  //    the per-column moment cache (correlations against cached columns are
+  //    single dot products) and cross-symptom factor reuse (each (entity,
+  //    kind, in-neighbor-set) conditional trains once and is shared; ridge
+  //    only, since stochastic families seed per VarIndex, which is
+  //    graph-dependent). Both yield bitwise-identical factors (see
+  //    factor_cache.h for the proof). Every key mixes in the train window
+  //    and the write epoch (MetricStore::series_epoch) of each series the
+  //    entry reads: the window stats key covers the one series the column
+  //    reads, the factor key the target plus every candidate-feature series
+  //    (all metric kinds of the target's entity and of its sorted
+  //    in-neighbor entities, so a freshly appearing series changes the key
+  //    too). A value write therefore retires exactly the entries that read
+  //    the touched series, and requests with different windows coexist. The
+  //    CALLER owns the rest of validity: call caches->renew(db, opts) before
+  //    training (DiagnosisService and BatchDiagnoser do).
+  //  - hooks: optional tracer and metrics registry (null = off); every
+  //    training and cache counter goes to hooks.metrics.
+  //  - trace_parent: the stable span id the per-variable fit spans attach
+  //    to. Fits run on worker threads whose span stacks are empty, so the
+  //    parent must be explicit for the trace to be identical at every
+  //    thread count.
   FactorSet(const telemetry::MonitoringDb& db,
             const graph::RelationshipGraph& graph, const MetricSpace& space,
             TimeIndex train_begin, TimeIndex train_end,
-            const FactorTrainingOptions& opts);
+            const FactorTrainingOptions& opts, std::uint64_t seed = 1,
+            std::size_t num_threads = 1, TrainingCaches* caches = nullptr,
+            const obs::ObsHooks& hooks = {}, std::uint64_t trace_parent = 0);
 
   [[nodiscard]] const MetricConditional& conditional(VarIndex v) const {
     return *conditionals_[v];

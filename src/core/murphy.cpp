@@ -37,7 +37,8 @@ TimeIndex recent_config_window_begin(TimeIndex train_begin,
   return now > window ? now - window : 0;  // clamp, TimeIndex is unsigned
 }
 
-MurphyDiagnoser::MurphyDiagnoser(MurphyOptions opts) : opts_(opts) {}
+MurphyDiagnoser::MurphyDiagnoser(MurphyOptions opts, TrainingCaches* caches)
+    : opts_(std::move(opts)), caches_(caches) {}
 
 DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
   assert(request.db != nullptr);
@@ -56,7 +57,7 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
   // to completion, so a completed diagnosis is bit-identical with or without
   // the hook, and a cancelled one is flagged rather than silently empty.
   const auto cancelled_at_checkpoint = [&]() -> bool {
-    if (!opts_.cancel || !opts_.cancel()) return false;
+    if (!request.cancel || !request.cancel()) return false;
     result.cancelled = true;
     if (hooks.metrics != nullptr)
       hooks.metrics->counter("diagnose.cancelled")->add(1);
@@ -95,14 +96,9 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
 
   // 2. Online training on [train_begin, train_end).
   obs::Span train_span(hooks.tracer, "train_factors");
-  FactorTrainingOptions topts = opts_.training;
-  topts.seed = opts_.seed;
-  topts.num_threads = opts_.num_threads;
-  topts.tracer = hooks.tracer;
-  topts.metrics = hooks.metrics;
-  topts.trace_parent = train_span.id();
   const FactorSet factors(db, graph, space, request.train_begin,
-                          request.train_end, topts);
+                          request.train_end, opts_.training, opts_.seed,
+                          opts_.num_threads, caches_, hooks, train_span.id());
   result.timings.training_ms = train_span.finish();
   record_phase_ms(hooks.metrics, "training", result.timings.training_ms);
 
@@ -118,10 +114,9 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
       state[*symptom_var] >=
       factors.conditional(*symptom_var).robust_center();
 
-  CandidateSearchOptions sopts = opts_.search;
-  sopts.thresholds = opts_.thresholds;
-  const auto candidates = candidate_search(db, graph, space, factors, state,
-                                           *symptom_node, sopts);
+  const auto candidates =
+      candidate_search(db, graph, space, factors, state, *symptom_node,
+                       opts_.thresholds, opts_.search);
   if (search_span.enabled())
     search_span.arg("candidates", static_cast<std::uint64_t>(candidates.size()));
   result.timings.search_ms = search_span.finish();
@@ -138,10 +133,8 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
   // whole diagnosis — bitwise identical at every thread count.
   obs::Span infer_span(hooks.tracer, "counterfactual_inference");
   const std::uint64_t infer_span_id = infer_span.id();
-  SamplerOptions smp = opts_.sampler;
-  smp.seed = opts_.seed ^ 0x5EEDULL;
-  smp.fast_inference = opts_.fast_inference;
-  CounterfactualSampler sampler(graph, space, factors, smp);
+  const std::uint64_t sampler_seed = opts_.seed ^ 0x5EEDULL;
+  CounterfactualSampler sampler(graph, space, factors, opts_.sampler);
   // One backward BFS from the symptom, shared by every candidate's
   // shortest-path-subgraph computation in the parallel loop below.
   sampler.prepare(*symptom_node);
@@ -165,7 +158,7 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
     // requested fast mode but fell back to the scalar loop (non-flattened
     // conditionals on the resample path). Both stay 0 in scalar mode, so a
     // snapshot always records which mode it came from.
-    if (opts_.fast_inference) {
+    if (opts_.sampler.fast_inference) {
       c_fast = hooks.metrics->counter("infer.fast_path");
       c_fast_fallback = hooks.metrics->counter("infer.fast_fallback");
     }
@@ -208,7 +201,7 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
       // The symptom entity itself is a root-cause candidate when its own
       // anomaly is strong (self-inflicted problems); counterfactualizing it
       // against itself is meaningless, so accept on anomaly alone.
-      const bool self_accepted = anomaly.score > sopts.z_min;
+      const bool self_accepted = anomaly.score > opts_.search.z_min;
       if (self_accepted) verdicts[i] = Accepted{cand, anomaly.rank_score};
       if (aud != nullptr) {
         aud->self_symptom = true;
@@ -218,7 +211,7 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
       if (self_accepted && c_accepted != nullptr) c_accepted->add(1);
       return;
     }
-    Rng rng(mix_seed(smp.seed, cand));
+    Rng rng(mix_seed(sampler_seed, cand));
     const auto verdict =
         sampler.evaluate(cand, anomaly.driver, *symptom_node, *symptom_var,
                          state, symptom_high, rng);

@@ -11,7 +11,6 @@
 //   6. explanation-chain generation via the label state machine (§4.3).
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "src/core/anomaly.h"
@@ -21,24 +20,24 @@
 
 namespace murphy::core {
 
+// Every engine setting has exactly one home here, and diagnose() reads the
+// struct as given: it never writes a field of it. The per-call inputs the
+// engine derives from these (training seed, threads, hooks, trace parent)
+// are passed to FactorSet as arguments; the counterfactual sampler's RNG is
+// derived per candidate from `seed`.
 struct MurphyOptions {
   FactorTrainingOptions training;
+  // Includes the one switch for opt-in exact inference,
+  // sampler.fast_inference (DESIGN.md §11).
   SamplerOptions sampler;
   CandidateSearchOptions search;
+  // Shared by candidate pruning and explanation labeling.
   Thresholds thresholds;
   // Maximum nodes in the relationship graph (§4.1's safety valve).
   std::size_t max_graph_nodes = 100000;
+  // Seeds the stochastic factor families (mix_seed(seed, target)) and the
+  // per-candidate sampler streams (mix_seed(seed ^ 0x5EED, candidate)).
   std::uint64_t seed = 1;
-  // Opt-in exact counterfactual inference (DESIGN.md §11): on all-ridge
-  // resample paths, each candidate's verdict comes from the closed-form
-  // means and variance of d1/d2 instead of Gibbs sampling. Off by default —
-  // the scalar Monte-Carlo path remains the bitwise-determinism golden; the
-  // exact mode's contract is statistical equivalence (same
-  // verdicts/rankings, t-test-indistinguishable scores), validated by
-  // bench_fast_equivalence. It draws no random numbers, so it is
-  // deterministic at any seed and thread count. Mirrored into
-  // SamplerOptions::fast_inference at diagnose time.
-  bool fast_inference = false;
   // Threads for the parallel phases (factor training, per-candidate
   // counterfactual evaluation, per-symptom batch diagnosis). 0 = one per
   // hardware core, 1 = the legacy serial path. The diagnosis output is
@@ -53,13 +52,6 @@ struct MurphyOptions {
   // off by default — the null configuration adds only a handful of clock
   // reads per diagnosis.
   obs::ObsHooks obs;
-  // Cooperative cancellation (the service's deadline enforcement, DESIGN.md
-  // §9). When set, diagnose() polls it between phases; once it returns true
-  // the remaining phases are abandoned and the result comes back with
-  // `cancelled` set and no causes. Polling happens ONLY at phase boundaries,
-  // so a completed diagnosis is bit-identical whether or not a hook was
-  // attached — cancellation can stop work, never alter it.
-  std::function<bool()> cancel;
 };
 
 // Start of the "recent" configuration-change window reported alongside a
@@ -72,7 +64,11 @@ struct MurphyOptions {
 
 class MurphyDiagnoser final : public Diagnoser {
  public:
-  explicit MurphyDiagnoser(MurphyOptions opts = {});
+  // `caches` (optional, not owned) are the training caches every diagnosis
+  // of this diagnoser trains through; the caller renews them before each
+  // diagnosis (see the FactorSet constructor).
+  explicit MurphyDiagnoser(MurphyOptions opts = {},
+                           TrainingCaches* caches = nullptr);
 
   [[nodiscard]] DiagnosisResult diagnose(
       const DiagnosisRequest& request) override;
@@ -83,6 +79,7 @@ class MurphyDiagnoser final : public Diagnoser {
 
  private:
   MurphyOptions opts_;
+  TrainingCaches* caches_;
 };
 
 }  // namespace murphy::core

@@ -14,8 +14,7 @@ CounterfactualSampler::CounterfactualSampler(
     : graph_(graph),
       space_(space),
       factors_(factors),
-      opts_(opts),
-      rng_(opts.seed) {}
+      opts_(opts) {}
 
 void CounterfactualSampler::prepare(graph::NodeIndex dst) {
   dist_to_ = graph_.distances_to(dst);
@@ -30,12 +29,6 @@ double CounterfactualSampler::resample_path(
       factors_.resample_node(path[i], space_, state, rng);
   }
   return state[d_var];
-}
-
-CounterfactualVerdict CounterfactualSampler::evaluate(
-    graph::NodeIndex a, VarIndex a_var, graph::NodeIndex d, VarIndex d_var,
-    std::span<const double> state, bool symptom_high) {
-  return evaluate(a, a_var, d, d_var, state, symptom_high, rng_);
 }
 
 CounterfactualVerdict CounterfactualSampler::evaluate(

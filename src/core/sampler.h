@@ -40,7 +40,6 @@ struct SamplerOptions {
   // service's container, a VM's host) whose pinned values would otherwise
   // absorb the counterfactual through collinear features.
   std::size_t path_slack = 2;
-  std::uint64_t seed = 1;
   // Opt-in exact inference (DESIGN.md §11). When every conditional on the
   // resample path is a flattened (ridge) factor, d1 and d2 are exactly
   // Gaussian with one shared variance: their means come from one noise-free
@@ -52,7 +51,9 @@ struct SamplerOptions {
   // indistinguishable), not bitwise identity: the exact form is the
   // n -> infinity limit of the sampled estimator. Candidates whose resample
   // order touches a non-flattened conditional (non-ridge model families)
-  // fall back to the scalar path per candidate.
+  // fall back to the scalar path per candidate. This is the one switch for
+  // the mode: MurphyDiagnoser reads it from MurphyOptions::sampler, and
+  // murphyd's --fast-inference sets it.
   bool fast_inference = false;
 };
 
@@ -89,19 +90,6 @@ class CounterfactualSampler {
                         const MetricSpace& space, const FactorSet& factors,
                         SamplerOptions opts);
 
-  // Evaluates candidate node A (driver variable `a_var`) against symptom
-  // variable `d_var`. `state` holds the current (incident-time) values;
-  // `symptom_high` says whether D's problem is an abnormally HIGH value
-  // (true) or LOW (false) — it sets the t-test direction.
-  // This overload draws from the sampler's own stream, so back-to-back
-  // evaluations depend on call order (legacy behaviour, fine serially).
-  [[nodiscard]] CounterfactualVerdict evaluate(graph::NodeIndex a,
-                                               VarIndex a_var,
-                                               graph::NodeIndex d,
-                                               VarIndex d_var,
-                                               std::span<const double> state,
-                                               bool symptom_high);
-
   // Precomputes the backward BFS distance map for symptom node `dst`, so
   // that every subsequent evaluate(..., d == dst, ...) builds its path
   // subgraph with a single bounded forward BFS instead of two full ones.
@@ -111,9 +99,14 @@ class CounterfactualSampler {
   // cache — verdicts are bitwise identical either way.
   void prepare(graph::NodeIndex dst);
 
-  // Order-independent variant: the caller supplies the RNG (typically one
-  // derived per candidate via mix_seed). Const and free of shared mutable
-  // state, so many threads may evaluate concurrently on one sampler.
+  // Evaluates candidate node A (driver variable `a_var`) against symptom
+  // variable `d_var`. `state` holds the current (incident-time) values;
+  // `symptom_high` says whether D's problem is an abnormally HIGH value
+  // (true) or LOW (false) — it sets the t-test direction. The caller
+  // supplies the RNG (MurphyDiagnoser derives one per candidate via
+  // mix_seed), so a verdict never depends on call order. Const and free of
+  // shared mutable state: many threads may evaluate concurrently on one
+  // sampler.
   [[nodiscard]] CounterfactualVerdict evaluate(graph::NodeIndex a,
                                                VarIndex a_var,
                                                graph::NodeIndex d,
@@ -136,7 +129,6 @@ class CounterfactualSampler {
   const MetricSpace& space_;
   const FactorSet& factors_;
   SamplerOptions opts_;
-  Rng rng_;
   // Backward distance map from prepare(); read-only during evaluation.
   std::vector<std::size_t> dist_to_;
   graph::NodeIndex prepared_dst_ = graph::kUnreachable;

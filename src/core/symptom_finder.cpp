@@ -9,14 +9,16 @@ namespace murphy::core {
 
 std::vector<Symptom> find_symptoms(const telemetry::MonitoringDb& db,
                                    AppId app, TimeIndex now,
-                                   const SymptomFinderOptions& opts) {
-  return find_symptoms(db, db.app(app).members, now, opts);
+                                   const SymptomFinderOptions& opts,
+                                   TimeIndex history_begin) {
+  return find_symptoms(db, db.app(app).members, now, opts, history_begin);
 }
 
 std::vector<Symptom> find_symptoms(const telemetry::MonitoringDb& db,
                                    std::span<const EntityId> entities,
                                    TimeIndex now,
-                                   const SymptomFinderOptions& opts) {
+                                   const SymptomFinderOptions& opts,
+                                   TimeIndex history_begin) {
   std::vector<Symptom> out;
   std::size_t scanned = 0;
   for (const EntityId entity : entities) {
@@ -27,7 +29,7 @@ std::vector<Symptom> find_symptoms(const telemetry::MonitoringDb& db,
       if (ts == nullptr || now >= ts->size()) continue;
       const double value = ts->value_or(now, 0.0);
 
-      const auto history = ts->window(opts.history_begin, now + 1, 0.0);
+      const auto history = ts->window(history_begin, now + 1, 0.0);
       const double center = stats::median(history);
       const double sigma = stats::mad_sigma(history);
       const double z = std::abs(stats::zscore(value, center, sigma, 1e-3));

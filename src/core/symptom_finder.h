@@ -32,23 +32,23 @@ struct SymptomFinderOptions {
   // static thresholds (catches collapses: a web VM doing 0 rx is a symptom
   // even though 0 crosses no "too high" line).
   double z_min = 3.0;
-  // History window used for the robust baseline.
-  TimeIndex history_begin = 0;
   std::size_t max_symptoms = 10;
   // Optional observability sink: counts metrics scanned / symptoms found.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
 // Scans all members of `app` at time `now`; returns symptoms ordered most
-// severe first. An empty result means the application looks healthy.
+// severe first. An empty result means the application looks healthy. The
+// robust baseline is each series' history over [history_begin, now].
 [[nodiscard]] std::vector<Symptom> find_symptoms(
     const telemetry::MonitoringDb& db, AppId app, TimeIndex now,
-    const SymptomFinderOptions& opts = {});
+    const SymptomFinderOptions& opts = {}, TimeIndex history_begin = 0);
 
 // Same scan for an explicit entity set (e.g. "these three VMs from the
 // ticket").
 [[nodiscard]] std::vector<Symptom> find_symptoms(
     const telemetry::MonitoringDb& db, std::span<const EntityId> entities,
-    TimeIndex now, const SymptomFinderOptions& opts = {});
+    TimeIndex now, const SymptomFinderOptions& opts = {},
+    TimeIndex history_begin = 0);
 
 }  // namespace murphy::core

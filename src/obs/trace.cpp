@@ -135,13 +135,6 @@ std::string Tracer::to_chrome_json(const TraceExportOptions& opts) const {
 void Span::open(Tracer* tracer, std::string_view name, std::uint64_t stream,
                 std::uint64_t parent, bool use_stack) {
   begin_ = Clock::now();
-#ifdef MURPHY_OBS_DISABLED
-  (void)tracer;
-  (void)stream;
-  (void)parent;
-  (void)use_stack;
-  name_ = name;
-#else
   if (tracer == nullptr) {
     name_ = name;
     return;
@@ -153,7 +146,6 @@ void Span::open(Tracer* tracer, std::string_view name, std::uint64_t stream,
                       : parent;
   id_ = derive_span_id(parent_, name, stream);
   buffer_->stack.push_back(id_);
-#endif
 }
 
 Span::Span(Tracer* tracer, std::string_view name, std::uint64_t stream) {
@@ -198,7 +190,6 @@ double Span::finish() {
   const auto end = Clock::now();
   elapsed_ms_ =
       std::chrono::duration<double, std::milli>(end - begin_).count();
-#ifndef MURPHY_OBS_DISABLED
   if (buffer_ != nullptr) {
     buffer_->stack.pop_back();
     SpanEvent e;
@@ -216,7 +207,6 @@ double Span::finish() {
     buffer_->done.push_back(std::move(e));
     buffer_ = nullptr;
   }
-#endif
   return elapsed_ms_;
 }
 

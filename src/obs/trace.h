@@ -7,8 +7,7 @@
 //  * Near-zero cost when disabled. A null `Tracer*` is the runtime null
 //    sink: the Span constructor then only reads the monotonic clock (the
 //    phase timings of DiagnosisResult are derived from spans, so the clock
-//    read stays) and records nothing. Compiling with -DMURPHY_OBS_DISABLED
-//    removes the recording path entirely.
+//    read stays) and records nothing.
 //  * Thread friendliness. Each thread appends completed spans to its own
 //    buffer — no lock, no atomic on the hot path; buffers are registered
 //    once per (thread, tracer) under a mutex and drained at export time,
@@ -114,7 +113,7 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  // True when the span is recording (tracer attached and not compiled out).
+  // True when the span is recording (a tracer is attached).
   [[nodiscard]] bool enabled() const { return buffer_ != nullptr; }
   // Stable id, for parenting spans opened in parallel regions.
   [[nodiscard]] std::uint64_t id() const { return id_; }

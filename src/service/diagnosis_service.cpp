@@ -171,14 +171,6 @@ ServiceResponse DiagnosisService::execute(const Pending& p) {
   // Renewed under the shared lock: every concurrent worker sees the same
   // frozen db, hence the same generation (see the file comment).
   caches_.renew(db, opts_.murphy.training);
-  core::MurphyOptions mopts = opts_.murphy;
-  mopts.training.caches = &caches_;
-  if (p.req.deadline != std::chrono::steady_clock::time_point::max()) {
-    const auto deadline = p.req.deadline;
-    mopts.cancel = [deadline] {
-      return std::chrono::steady_clock::now() >= deadline;
-    };
-  }
 
   core::DiagnosisRequest dreq;
   dreq.db = &db;
@@ -188,9 +180,15 @@ ServiceResponse DiagnosisService::execute(const Pending& p) {
   dreq.train_begin = p.req.train_begin;
   dreq.train_end = p.req.train_end;
   dreq.max_hops = p.req.max_hops;
+  if (p.req.deadline != std::chrono::steady_clock::time_point::max()) {
+    const auto deadline = p.req.deadline;
+    dreq.cancel = [deadline] {
+      return std::chrono::steady_clock::now() >= deadline;
+    };
+  }
 
   try {
-    core::MurphyDiagnoser diagnoser(std::move(mopts));
+    core::MurphyDiagnoser diagnoser(opts_.murphy, &caches_);
     core::DiagnosisResult result = diagnoser.diagnose(dreq);
     resp.db_version = db.data_version();
     if (result.cancelled) {

@@ -8,7 +8,7 @@
 // carries a deadline; expiry is enforced twice: a request already past its
 // deadline at dequeue is answered kDeadlineExceeded without running, and a
 // running diagnosis polls the deadline at phase boundaries through the
-// engine's cooperative-cancellation hook (MurphyOptions::cancel).
+// engine's cooperative-cancellation hook (DiagnosisRequest::cancel).
 //
 // Determinism contract: a completed (kOk) response is a pure function of
 // (request, db version, service options) — bitwise identical at any worker
@@ -19,7 +19,8 @@
 // FactorCache / WindowStats). Cancellation cannot break this — it only
 // abandons phases, never alters a completed one.
 //
-// Cache invalidation: one core::TrainingCaches shared by every worker.
+// Cache invalidation: one core::TrainingCaches shared by every worker and
+// handed to each request's MurphyDiagnoser.
 // Cache keys carry the per-series write epochs and the train window, so a
 // streaming append retires only the entries that read the touched series
 // and unrelated entries keep hitting. The generation (MonitoringDb::uid() +

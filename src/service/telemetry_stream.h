@@ -8,7 +8,7 @@
 // it shared for their whole run, so they always see one consistent db
 // version. Per-series write epochs (MetricStore::series_epoch, bumped by
 // every append) are what make this cheap — the training caches key on them
-// (FactorTrainingOptions::caches), so an append retires exactly the cache
+// (see the FactorSet constructor), so an append retires exactly the cache
 // entries that read the touched series instead of the whole cache.
 //
 // Snapshot/restore rides here too: save_snapshot under the shared lock

@@ -18,20 +18,21 @@ std::string_view model_kind_name(ModelKind kind) {
 }
 
 std::unique_ptr<Predictor> make_predictor(ModelKind kind,
-                                          const PredictorOptions& opts) {
+                                          const PredictorOptions& opts,
+                                          std::uint64_t seed) {
   switch (kind) {
     case ModelKind::kRidge:
       return std::make_unique<RidgeRegression>(opts.l2);
     case ModelKind::kGmm:
-      return std::make_unique<GmmRegressor>(opts.gmm_components, opts.seed);
+      return std::make_unique<GmmRegressor>(opts.gmm_components, seed);
     case ModelKind::kSvr:
       return std::make_unique<LinearSvr>(opts.l2, opts.svr_epsilon,
-                                         opts.svr_epochs, opts.seed,
+                                         opts.svr_epochs, seed,
                                          opts.svr_rff_features);
     case ModelKind::kMlp:
       return std::make_unique<MlpRegressor>(
           opts.mlp_hidden_layers, opts.mlp_hidden_width, opts.mlp_epochs,
-          opts.mlp_learning_rate, opts.seed);
+          opts.mlp_learning_rate, seed);
   }
   return nullptr;
 }

@@ -59,11 +59,12 @@ struct PredictorOptions {
   int svr_epochs = 120;
   // Random Fourier features approximating an RBF kernel; 0 = linear SVR.
   int svr_rff_features = 48;
-  // Seed for stochastic trainers (MLP initialization, SGD shuffling).
-  std::uint64_t seed = 1;
 };
 
+// `seed` drives the stochastic trainers (GMM initialization, MLP
+// initialization, SGD shuffling); ridge ignores it.
 [[nodiscard]] std::unique_ptr<Predictor> make_predictor(
-    ModelKind kind, const PredictorOptions& opts = {});
+    ModelKind kind, const PredictorOptions& opts = {},
+    std::uint64_t seed = 1);
 
 }  // namespace murphy::stats

@@ -181,12 +181,12 @@ TEST(Determinism, FactorTrainingBitwiseIdenticalAcrossThreadCounts) {
   const core::MetricSpace space(env.db, g);
   const auto state = space.snapshot(env.db, 199);
 
-  core::FactorTrainingOptions topts;
-  topts.num_threads = 1;
-  const core::FactorSet serial(env.db, g, space, 0, 200, topts);
+  const core::FactorTrainingOptions topts;
+  const core::FactorSet serial(env.db, g, space, 0, 200, topts, /*seed=*/1,
+                               /*num_threads=*/1);
   for (const std::size_t threads : {2u, 8u}) {
-    topts.num_threads = threads;
-    const core::FactorSet parallel(env.db, g, space, 0, 200, topts);
+    const core::FactorSet parallel(env.db, g, space, 0, 200, topts,
+                                   /*seed=*/1, threads);
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
     ASSERT_EQ(serial.size(), parallel.size());
     for (core::VarIndex v = 0; v < serial.size(); ++v) {
@@ -327,6 +327,31 @@ TEST(TrainingCaches, ValueWriteRetrainsOnlyFactorsThatReadTheSeries) {
   core::BatchDiagnoser fresh(bopts);
   expect_batch_bitwise_equal(
       fresh.diagnose_symptoms(env.db, symptoms, 199, 0, 200), reused);
+}
+
+TEST(TrainingCaches, WindowCountersReachTheInjectedRegistry) {
+  // Every cache counter goes to the engine's own registry, the window-stats
+  // ones included: a caller-local registry sees each window lookup, and its
+  // tallies match the cache's own.
+  const auto env = make_chain_env();
+  const std::vector<core::Symptom> symptoms{
+      core::Symptom{env.d, "cpu_util", 0.0, 5.0},
+      core::Symptom{env.c, "cpu_util", 0.0, 4.0},
+  };
+  obs::MetricsRegistry local;
+  core::BatchOptions bopts;
+  bopts.murphy.sampler.num_samples = 10;
+  bopts.murphy.num_threads = 1;
+  bopts.murphy.obs.metrics = &local;
+  core::BatchDiagnoser batch(bopts);
+  (void)batch.diagnose_symptoms(env.db, symptoms, 199, 0, 200);
+
+  core::TrainingCaches& caches = batch.caches();
+  EXPECT_GT(local.counter("cache.window_hits")->value(), 0u);
+  EXPECT_EQ(local.counter("cache.window_hits")->value(),
+            caches.window_stats().hits());
+  EXPECT_EQ(local.counter("cache.window_misses")->value(),
+            caches.window_stats().misses());
 }
 
 TEST(TrainingCaches, ReusedBatchDiagnoserStaysWithinPruneBound) {

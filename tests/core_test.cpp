@@ -163,8 +163,9 @@ TEST(Sampler, CounterfactualPropagatesAcrossTwoHops) {
   SamplerOptions opts;
   opts.num_samples = 300;
   CounterfactualSampler sampler(f.graph, *f.space, *f.factors, opts);
+  Rng rng(1);
   const auto verdict =
-      sampler.evaluate(na, va, nc, vc, state, /*symptom_high=*/true);
+      sampler.evaluate(na, va, nc, vc, state, /*symptom_high=*/true, rng);
   EXPECT_TRUE(verdict.is_root_cause);
   EXPECT_LT(verdict.mean_counterfactual, verdict.mean_factual - 1.0);
 }
@@ -198,9 +199,10 @@ TEST(Sampler, DisconnectedEntityIsNeverRootCause) {
   SamplerOptions opts;
   opts.num_samples = 50;
   CounterfactualSampler sampler(g, space, factors, opts);
+  Rng sampler_rng(1);
   const auto verdict = sampler.evaluate(
       *g.index_of(d), *space.find(d, load), *g.index_of(a),
-      *space.find(a, load), state, /*symptom_high=*/true);
+      *space.find(a, load), state, /*symptom_high=*/true, sampler_rng);
   EXPECT_FALSE(verdict.is_root_cause);
   EXPECT_DOUBLE_EQ(verdict.p_value, 1.0);
 }
@@ -229,14 +231,16 @@ TEST(CandidateSearch, PrunesCalmBranches) {
   const auto nc = *f.graph.index_of(f.c);
   const auto state = f.space->snapshot(f.db, 199);
   CandidateSearchOptions opts;
+  const Thresholds thresholds;
   const auto candidates = candidate_search(f.db, f.graph, *f.space,
-                                           *f.factors, state, nc, opts);
+                                           *f.factors, state, nc, thresholds,
+                                           opts);
   // All three entities are implicated during the surge.
   EXPECT_EQ(candidates.size(), 3u);
   // In the calm slice only the symptom node remains.
   const auto calm = f.space->snapshot(f.db, 100);
-  const auto calm_candidates = candidate_search(f.db, f.graph, *f.space,
-                                                *f.factors, calm, nc, opts);
+  const auto calm_candidates = candidate_search(
+      f.db, f.graph, *f.space, *f.factors, calm, nc, thresholds, opts);
   EXPECT_EQ(calm_candidates.size(), 1u);
   EXPECT_EQ(calm_candidates[0], nc);
 }

@@ -93,7 +93,7 @@ core::DiagnosisResult diagnose_chain(const ChainEnv& env, bool fast,
   core::MurphyOptions mopts;
   mopts.sampler.num_samples = 120;
   mopts.num_threads = num_threads;
-  mopts.fast_inference = fast;
+  mopts.sampler.fast_inference = fast;
   mopts.training.model = model;
   mopts.obs.metrics = metrics;
   core::MurphyDiagnoser murphy(mopts);
@@ -229,6 +229,27 @@ TEST(FastInference, RegistryCountersIdenticalAcrossModes) {
   // fast counters in the first place.
   EXPECT_GT(fast_reg.counter("infer.fast_path")->value(), 0u);
   EXPECT_EQ(fast_reg.counter("infer.fast_fallback")->value(), 0u);
+}
+
+TEST(FastInference, SamplerSwitchReachesTheDiagnoser) {
+  // sampler.fast_inference is the one switch for the mode: the diagnoser
+  // must run the exact path as configured, not reset the field.
+  const auto env = make_chain_env();
+  obs::MetricsRegistry reg;
+  core::MurphyOptions mopts;
+  mopts.sampler.num_samples = 120;
+  mopts.sampler.fast_inference = true;
+  mopts.obs.metrics = &reg;
+  core::MurphyDiagnoser murphy(mopts);
+  core::DiagnosisRequest req;
+  req.db = &env.db;
+  req.symptom_entity = env.d;
+  req.symptom_metric = "cpu_util";
+  req.now = 199;
+  req.train_begin = 0;
+  req.train_end = 200;
+  EXPECT_FALSE(murphy.diagnose(req).causes.empty());
+  EXPECT_GT(reg.counter("infer.fast_path")->value(), 0u);
 }
 
 // ---------- fallback -------------------------------------------------------
@@ -382,7 +403,7 @@ TEST(ExactInference, SeedDoesNotChangeExactResults) {
   auto audit_of = [&](bool fast, std::uint64_t seed) {
     core::MurphyOptions mopts;
     mopts.sampler.num_samples = 120;
-    mopts.fast_inference = fast;
+    mopts.sampler.fast_inference = fast;
     mopts.seed = seed;
     mopts.num_threads = 1;
     mopts.obs.collect_audit = true;

@@ -77,24 +77,6 @@ TEST(Json, RejectsMalformedAndTrailingGarbage) {
 
 // ---------- span tracer ----------------------------------------------------
 
-#ifdef MURPHY_OBS_DISABLED
-
-// Compiled-out build (-DMURPHY_OBS_COMPILED_OUT=ON): spans must not record,
-// but finish() still times (PhaseTimings derive from spans).
-TEST(Tracer, CompiledOutSpansTimeButRecordNothing) {
-  Tracer tracer;
-  {
-    Span span(&tracer, "gone");
-    EXPECT_FALSE(span.enabled());
-    span.arg("ignored", 1.0);
-    EXPECT_GE(span.finish(), 0.0);
-  }
-  EXPECT_TRUE(tracer.events().empty());
-  EXPECT_EQ(tracer.to_chrome_json(), "{\"traceEvents\":[]}");
-}
-
-#else  // recording behaviour, stripped under MURPHY_OBS_DISABLED
-
 TEST(Tracer, NestedSpansParentToInnermostOpenSpan) {
   Tracer tracer;
   std::uint64_t outer_id = 0, inner_id = 0;
@@ -232,8 +214,6 @@ TEST(Tracer, ExportIsValidTraceEventJson) {
     }
   }
 }
-
-#endif  // MURPHY_OBS_DISABLED
 
 // ---------- metrics registry -----------------------------------------------
 

@@ -144,10 +144,8 @@ TEST_P(PredictorContracts, DeterministicForSeed) {
     for (std::size_t j = 0; j < 3; ++j) x.at(i, j) = rng.uniform(0.0, 5.0);
     y[i] = x.at(i, 0) - x.at(i, 1) + rng.normal(0.0, 0.1);
   }
-  stats::PredictorOptions opts;
-  opts.seed = param.seed;
-  auto m1 = stats::make_predictor(param.kind, opts);
-  auto m2 = stats::make_predictor(param.kind, opts);
+  auto m1 = stats::make_predictor(param.kind, {}, param.seed);
+  auto m2 = stats::make_predictor(param.kind, {}, param.seed);
   m1->fit(x, y);
   m2->fit(x, y);
   const std::vector<double> probe{1.0, 2.0, 3.0};
@@ -160,9 +158,7 @@ TEST_P(PredictorContracts, FinitePredictionsOnDegenerateData) {
   // All-constant features and targets: the worst telemetry case.
   stats::Matrix x(20, 2, 3.0);
   stats::Vector y(20, 7.0);
-  stats::PredictorOptions opts;
-  opts.seed = param.seed;
-  auto m = stats::make_predictor(param.kind, opts);
+  auto m = stats::make_predictor(param.kind, {}, param.seed);
   m->fit(x, y);
   const double pred = m->predict(std::vector<double>{3.0, 3.0});
   EXPECT_TRUE(std::isfinite(pred));
@@ -177,9 +173,7 @@ TEST_P(PredictorContracts, SingleRowFitDoesNotCrash) {
   x.at(0, 0) = 1.0;
   x.at(0, 1) = 2.0;
   stats::Vector y{5.0};
-  stats::PredictorOptions opts;
-  opts.seed = param.seed;
-  auto m = stats::make_predictor(param.kind, opts);
+  auto m = stats::make_predictor(param.kind, {}, param.seed);
   m->fit(x, y);
   EXPECT_TRUE(std::isfinite(m->predict(std::vector<double>{1.0, 2.0})));
 }
@@ -305,8 +299,11 @@ TEST_P(SamplerProperties, VerdictDeterministicAcrossConstructions) {
   opts.gibbs_rounds = GetParam();
   core::CounterfactualSampler s1(env.graph, *env.space, *env.factors, opts);
   core::CounterfactualSampler s2(env.graph, *env.space, *env.factors, opts);
-  const auto v1 = s1.evaluate(env.na, env.va, env.nc, env.vc, state, true);
-  const auto v2 = s2.evaluate(env.na, env.va, env.nc, env.vc, state, true);
+  Rng r1(1), r2(1);
+  const auto v1 =
+      s1.evaluate(env.na, env.va, env.nc, env.vc, state, true, r1);
+  const auto v2 =
+      s2.evaluate(env.na, env.va, env.nc, env.vc, state, true, r2);
   EXPECT_DOUBLE_EQ(v1.p_value, v2.p_value);
   EXPECT_DOUBLE_EQ(v1.mean_factual, v2.mean_factual);
 }
@@ -318,7 +315,8 @@ TEST_P(SamplerProperties, CounterfactualAlwaysMovesTowardNormal) {
   opts.num_samples = 150;
   opts.gibbs_rounds = GetParam();
   core::CounterfactualSampler s(env.graph, *env.space, *env.factors, opts);
-  const auto v = s.evaluate(env.na, env.va, env.nc, env.vc, state, true);
+  Rng rng(1);
+  const auto v = s.evaluate(env.na, env.va, env.nc, env.vc, state, true, rng);
   // During a high excursion the counterfactual start must not predict a
   // HIGHER symptom than the factual start, for any Gibbs round count.
   EXPECT_LE(v.mean_counterfactual, v.mean_factual + 0.5);
