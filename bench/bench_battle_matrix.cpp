@@ -119,7 +119,7 @@ int main() {
                   mrr / static_cast<double>(cells), cells);
   }
 
-  eval::record_matrix_gauges(report);
+  eval::record_matrix_gauges(report, obs::global_metrics());
   bench::write_bench_json("battle_matrix");
   return 0;
 }

@@ -123,7 +123,8 @@ NetRunResult run_net_load(const murphy::emulation::DiagnosisCase& scenario,
   using namespace murphy;
   service::ReplayFeed feed = service::make_replay_feed(
       scenario.db, scenario.incident_start + 20);
-  service::TelemetryStream stream(std::move(feed.warm));
+  service::TelemetryStream stream(std::move(feed.warm),
+                                 &obs::global_metrics());
   service::DiagnosisServiceOptions svc_opts;
   svc_opts.num_workers = workers;
   svc_opts.max_queue = 1024;
@@ -208,7 +209,8 @@ std::size_t run_net_burst(const murphy::emulation::DiagnosisCase& scenario,
   using namespace murphy;
   service::ReplayFeed feed = service::make_replay_feed(
       scenario.db, scenario.incident_start + 20);
-  service::TelemetryStream stream(std::move(feed.warm));
+  service::TelemetryStream stream(std::move(feed.warm),
+                                 &obs::global_metrics());
   service::DiagnosisServiceOptions svc_opts;
   svc_opts.num_workers = 1;
   svc_opts.max_queue = 1024;
@@ -264,7 +266,8 @@ int main() {
   // run, churning series epochs under the caches exactly as production would.
   service::ReplayFeed feed = service::make_replay_feed(
       scenario.db, scenario.incident_start + 20);
-  service::TelemetryStream stream(std::move(feed.warm));
+  service::TelemetryStream stream(std::move(feed.warm),
+                                 &obs::global_metrics());
 
   service::DiagnosisServiceOptions svc_opts;
   svc_opts.num_workers = std::clamp<std::size_t>(resolve_num_threads(0), 2, 4);

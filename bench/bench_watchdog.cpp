@@ -55,7 +55,8 @@ struct CaseOutcome {
 CaseOutcome run_case(const emulation::DiagnosisCase& c) {
   service::ReplayFeed feed = service::make_replay_feed(
       c.db, c.incident_start > 20 ? c.incident_start - 20 : 1);
-  service::TelemetryStream stream(std::move(feed.warm));
+  service::TelemetryStream stream(std::move(feed.warm),
+                                 &obs::global_metrics());
   service::DiagnosisServiceOptions sopts;
   sopts.num_workers = 2;
   sopts.murphy.num_threads = 1;
@@ -121,7 +122,8 @@ IngestProbe measure_ingest(const emulation::DiagnosisCase& c) {
       const bool with_wd = arm == 1;
       service::ReplayFeed feed = service::make_replay_feed(
           c.db, c.incident_start > 20 ? c.incident_start - 20 : 1);
-      service::TelemetryStream stream(std::move(feed.warm));
+      service::TelemetryStream stream(std::move(feed.warm),
+                                     &obs::global_metrics());
       service::DiagnosisServiceOptions sopts;
       sopts.num_workers = 0;  // isolate ingest+scan cost from diagnosis cost
       sopts.murphy.num_threads = 1;

@@ -198,6 +198,7 @@ int main(int argc, char** argv) {
                    err.message.c_str());
       return 1;
     }
+    service::count_ingest_drops(obs::global_metrics(), imported->drops);
     source = std::move(imported->db);
   } else {
     emulation::InterferenceOptions sopts;
@@ -209,7 +210,8 @@ int main(int argc, char** argv) {
   const auto split =
       static_cast<TimeIndex>(args.split * static_cast<double>(total));
   service::ReplayFeed feed = service::make_replay_feed(source, split);
-  service::TelemetryStream stream(std::move(feed.warm));
+  service::TelemetryStream stream(std::move(feed.warm),
+                                 &obs::global_metrics());
 
   service::DiagnosisServiceOptions sopts;
   sopts.num_workers = args.workers;

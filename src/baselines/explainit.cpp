@@ -33,8 +33,10 @@ core::DiagnosisResult ExplainIt::diagnose(
       request.train_begin +
       static_cast<TimeIndex>(static_cast<double>(end - request.train_begin) *
                              (1.0 - opts_.window_fraction));
+  std::size_t nonfinite_reads = 0;
   const auto symptom_series =
-      space.history(db, *space.find(request.symptom_entity, kind), begin, end);
+      space.history(db, *space.find(request.symptom_entity, kind), begin, end,
+                    &nonfinite_reads);
 
   // Candidate set: Murphy's pruned space when enabled, else every node.
   std::vector<graph::NodeIndex> candidates;
@@ -42,7 +44,7 @@ core::DiagnosisResult ExplainIt::diagnose(
     const core::FactorTrainingOptions topts;
     const core::FactorSet factors(db, graph, space, request.train_begin,
                                   request.train_end, topts);
-    const auto state = space.snapshot(db, request.now);
+    const auto state = space.snapshot(db, request.now, &nonfinite_reads);
     candidates = core::candidate_search(db, graph, space, factors, state,
                                         *symptom_node, core::Thresholds{},
                                         core::CandidateSearchOptions{});
@@ -60,7 +62,7 @@ core::DiagnosisResult ExplainIt::diagnose(
       // The symptom entity itself is a legal answer (self-caused problems),
       // scored by its OTHER metrics' correlation with the symptom metric.
       if (var.entity == request.symptom_entity && var.kind == kind) continue;
-      const auto series = space.history(db, v, begin, end);
+      const auto series = space.history(db, v, begin, end, &nonfinite_reads);
       best = std::max(best, std::abs(stats::pearson(series, symptom_series)));
     }
     if (best >= opts_.min_correlation)
@@ -77,6 +79,7 @@ core::DiagnosisResult ExplainIt::diagnose(
         ->add(candidates.size());
     opts_.obs.metrics->counter("explainit.causes_reported")
         ->add(result.causes.size());
+    opts_.obs.metrics->add_nonzero("ingest.nonfinite_reads", nonfinite_reads);
   }
   return result;
 }

@@ -33,7 +33,8 @@ core::DiagnosisResult NetMedic::diagnose(
   const core::FactorTrainingOptions topts;
   const core::FactorSet factors(db, graph, space, request.train_begin,
                                 request.train_end, topts);
-  const auto state = space.snapshot(db, request.now);
+  std::size_t nonfinite_reads = 0;
+  const auto state = space.snapshot(db, request.now, &nonfinite_reads);
 
   // Per-node abnormality in [0, 1). NetMedic uses plain historical
   // statistics over the window (its design predates any robust-statistics
@@ -54,7 +55,7 @@ core::DiagnosisResult NetMedic::diagnose(
   const TimeIndex end = request.train_end;
   std::vector<std::vector<double>> hist(space.size());
   for (core::VarIndex v = 0; v < space.size(); ++v)
-    hist[v] = space.history(db, v, begin, end);
+    hist[v] = space.history(db, v, begin, end, &nonfinite_reads);
 
   // Per-variable scale for state-distance normalization.
   std::vector<double> scale(space.size(), 1.0);
@@ -209,6 +210,7 @@ core::DiagnosisResult NetMedic::diagnose(
         ->add(candidates.size());
     opts_.obs.metrics->counter("netmedic.causes_reported")
         ->add(result.causes.size());
+    opts_.obs.metrics->add_nonzero("ingest.nonfinite_reads", nonfinite_reads);
   }
   return result;
 }

@@ -8,6 +8,7 @@
 #include "src/core/metric_space.h"
 #include "src/common/rng.h"
 #include "src/stats/matrix.h"
+#include "src/stats/ridge.h"
 #include "src/stats/summary.h"
 
 namespace murphy::baselines {
@@ -148,13 +149,14 @@ core::DiagnosisResult Sage::diagnose(const core::DiagnosisRequest& request) {
   const TimeIndex begin = request.train_begin;
   const TimeIndex end = request.train_end;
   const std::size_t rows = end - begin;
+  std::size_t nonfinite_reads = 0;
   std::vector<std::vector<double>> hist(vars.size());
   for (std::size_t v = 0; v < vars.size(); ++v) {
     const auto* ts = db.metrics().find(vars[v].node < model.size()
                                            ? model[vars[v].node]
                                            : EntityId::invalid(),
                                        vars[v].kind);
-    hist[v] = ts ? ts->window(begin, end, 0.0)
+    hist[v] = ts ? ts->window(begin, end, 0.0, &nonfinite_reads)
                  : std::vector<double>(rows, 0.0);
   }
 
@@ -178,14 +180,28 @@ core::DiagnosisResult Sage::diagnose(const core::DiagnosisRequest& request) {
     m.predictor =
         stats::make_predictor(opts_.node_model, opts_.predictor, rng());
     m.predictor->fit(x, hist[v]);
+    if (opts_.obs.metrics != nullptr &&
+        opts_.node_model == stats::ModelKind::kRidge) {
+      // Counted under the engine's names (DESIGN.md §6).
+      const auto& fit =
+          static_cast<const stats::RidgeRegression&>(*m.predictor)
+              .fit_report();
+      obs::MetricsRegistry& reg = *opts_.obs.metrics;
+      reg.add_nonzero("stats.ridge_fits", 1);
+      reg.add_nonzero("stats.ridge_cells", fit.cells);
+      reg.add_nonzero("train.nonfinite_cells", fit.nonfinite_cells);
+      reg.add_nonzero("train.degenerate_columns", fit.degenerate_columns);
+    }
   }
 
   // Current state + counterfactual replay.
   std::vector<double> current(vars.size(), 0.0);
   for (std::size_t v = 0; v < vars.size(); ++v) {
     const auto* ts = db.metrics().find(model[vars[v].node], vars[v].kind);
-    if (ts) current[v] = ts->value_or(request.now, 0.0);
+    if (ts) current[v] = ts->value_or(request.now, 0.0, &nonfinite_reads);
   }
+  if (opts_.obs.metrics != nullptr)
+    opts_.obs.metrics->add_nonzero("ingest.nonfinite_reads", nonfinite_reads);
 
   const auto replay = [&](std::size_t pinned_node) -> double {
     std::vector<double> state = current;

@@ -59,6 +59,11 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
     hooks.metrics->counter("train.empty_windows")->add(1);
   conditionals_.resize(space.size());
 
+  // Telemetry defects the reads and the stats kernels report (DESIGN.md §8).
+  const auto count_defect = [&](const char* name, std::size_t n) {
+    if (hooks.metrics != nullptr) hooks.metrics->add_nonzero(name, n);
+  };
+
   // Per-variable window moments (mean, centered column, sum of squares):
   // pulled from the shared cross-symptom cache when one is attached,
   // materialized locally otherwise. Either way the feature-scoring loop
@@ -70,6 +75,14 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   // windows share one cache generation.
   const std::uint64_t window_key =
       (static_cast<std::uint64_t>(train_begin) << 32) | train_end;
+  std::size_t nonfinite_reads = 0;
+  std::size_t nonfinite_cells = 0;
+  const auto build_column = [&](VarIndex v) {
+    stats::ColumnMoments m = stats::build_column_moments(
+        space.history(db, v, train_begin, train_end, &nonfinite_reads));
+    nonfinite_cells += m.nonfinite_cells;
+    return m;
+  };
   if (caches != nullptr) {
     obs::Counter* c_window_hits = nullptr;
     obs::Counter* c_window_misses = nullptr;
@@ -89,29 +102,27 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
       key = hash_mix(key, window_key);
       bool built = false;
       col[v] = &caches->window_stats().get_or_build(
-          key,
-          [&] {
-            return stats::build_column_moments(
-                space.history(db, v, train_begin, train_end));
-          },
-          &built);
+          key, [&] { return build_column(v); }, &built);
       if (hooks.metrics != nullptr)
         (built ? c_window_misses : c_window_hits)->add(1);
     }
   } else {
     local.resize(space.size());
     for (VarIndex v = 0; v < space.size(); ++v) {
-      local[v] = stats::build_column_moments(
-          space.history(db, v, train_begin, train_end));
+      local[v] = build_column(v);
       col[v] = &local[v];
     }
   }
+  count_defect("ingest.nonfinite_reads", nonfinite_reads);
+  count_defect("train.nonfinite_cells", nonfinite_cells);
 
   // Observability: resolve instruments once, outside the hot loop (the
   // registry lookup takes a mutex; the updates below are lock-free atomics).
   obs::Counter* c_fits = nullptr;
   obs::Counter* c_pruned = nullptr;
   obs::Counter* c_corr_cells = nullptr;
+  obs::Counter* c_ridge_fits = nullptr;
+  obs::Counter* c_ridge_cells = nullptr;
   obs::Counter* c_cache_hits = nullptr;
   obs::Counter* c_cache_misses = nullptr;
   obs::Histogram* h_features = nullptr;
@@ -119,6 +130,10 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
     c_fits = hooks.metrics->counter("train.factors_trained");
     c_pruned = hooks.metrics->counter("train.features_pruned_one_in_ten");
     c_corr_cells = hooks.metrics->counter("train.corr_cells");
+    if (opts.model == stats::ModelKind::kRidge) {
+      c_ridge_fits = hooks.metrics->counter("stats.ridge_fits");
+      c_ridge_cells = hooks.metrics->counter("stats.ridge_cells");
+    }
     h_features = hooks.metrics->histogram(
         "train.features_per_factor",
         {0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0});
@@ -194,6 +209,17 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
             ->fit_weighted(x, y, weights);
       } else {
         model->fit(x, y);
+      }
+      // One count per fit: a cache hit reuses the fit and counts nothing.
+      if (opts.model == stats::ModelKind::kRidge) {
+        const stats::RidgeFitReport& fit =
+            static_cast<const stats::RidgeRegression&>(*model).fit_report();
+        if (c_ridge_fits != nullptr) {
+          c_ridge_fits->add(1);
+          c_ridge_cells->add(fit.cells);
+        }
+        count_defect("train.nonfinite_cells", fit.nonfinite_cells);
+        count_defect("train.degenerate_columns", fit.degenerate_columns);
       }
 
       // Training-error MASE for the Fig. 8a comparison.

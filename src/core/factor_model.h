@@ -163,7 +163,10 @@ class FactorSet {
   //    CALLER owns the rest of validity: call caches->renew(db, opts) before
   //    training (DiagnosisService and BatchDiagnoser do).
   //  - hooks: optional tracer and metrics registry (null = off); every
-  //    training and cache counter goes to hooks.metrics.
+  //    training and cache counter goes to hooks.metrics, and so do the
+  //    reports of the stats kernels and the telemetry reads (stats.ridge_*,
+  //    train.nonfinite_cells, train.degenerate_columns,
+  //    ingest.nonfinite_reads), once per fit or column actually built.
   //  - trace_parent: the stable span id the per-variable fit spans attach
   //    to. Fits run on worker threads whose span stacks are empty, so the
   //    parent must be explicit for the trace to be identical at every

@@ -24,24 +24,26 @@ std::optional<VarIndex> MetricSpace::find(EntityId entity,
 }
 
 std::vector<double> MetricSpace::snapshot(const telemetry::MonitoringDb& db,
-                                          TimeIndex t) const {
+                                          TimeIndex t,
+                                          std::size_t* nonfinite_reads) const {
   std::vector<double> out(vars_.size(), 0.0);
   for (VarIndex v = 0; v < vars_.size(); ++v) {
     const auto* ts = db.metrics().find(vars_[v].entity, vars_[v].kind);
-    if (ts != nullptr) out[v] = ts->value_or(t, 0.0);
+    if (ts != nullptr) out[v] = ts->value_or(t, 0.0, nonfinite_reads);
   }
   return out;
 }
 
 std::vector<double> MetricSpace::history(const telemetry::MonitoringDb& db,
                                          VarIndex v, TimeIndex from,
-                                         TimeIndex to) const {
+                                         TimeIndex to,
+                                         std::size_t* nonfinite_reads) const {
   // An inverted window (to < from) is a telemetry defect, not a caller bug:
   // unsigned subtraction below would request ~2^64 slices. Treat it as empty.
   if (to < from) return {};
   const auto* ts = db.metrics().find(vars_[v].entity, vars_[v].kind);
   if (ts == nullptr) return std::vector<double>(to - from, 0.0);
-  return ts->window(from, to, 0.0);
+  return ts->window(from, to, 0.0, nonfinite_reads);
 }
 
 }  // namespace murphy::core

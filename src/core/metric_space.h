@@ -44,14 +44,19 @@ class MetricSpace {
   }
 
   // Snapshot of all variable values at time slice t (missing -> 0, the
-  // paper's placeholder default).
+  // paper's placeholder default). Stored non-finite values read as missing
+  // and are added to *nonfinite_reads when it is non-null (see
+  // TimeSeries::value_or); the caller counts them as
+  // `ingest.nonfinite_reads`.
   [[nodiscard]] std::vector<double> snapshot(
-      const telemetry::MonitoringDb& db, TimeIndex t) const;
+      const telemetry::MonitoringDb& db, TimeIndex t,
+      std::size_t* nonfinite_reads = nullptr) const;
 
-  // Per-variable training matrix column: values over [from, to).
-  [[nodiscard]] std::vector<double> history(const telemetry::MonitoringDb& db,
-                                            VarIndex v, TimeIndex from,
-                                            TimeIndex to) const;
+  // Per-variable training matrix column: values over [from, to), with
+  // non-finite reads reported as in snapshot().
+  [[nodiscard]] std::vector<double> history(
+      const telemetry::MonitoringDb& db, VarIndex v, TimeIndex from,
+      TimeIndex to, std::size_t* nonfinite_reads = nullptr) const;
 
  private:
   std::vector<Var> vars_;

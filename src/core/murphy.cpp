@@ -109,7 +109,10 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
 
   // 3. Candidate pruning.
   obs::Span search_span(hooks.tracer, "candidate_search");
-  const auto state = space.snapshot(db, request.now);
+  std::size_t nonfinite_reads = 0;
+  const auto state = space.snapshot(db, request.now, &nonfinite_reads);
+  if (hooks.metrics != nullptr)
+    hooks.metrics->add_nonzero("ingest.nonfinite_reads", nonfinite_reads);
   const bool symptom_high =
       state[*symptom_var] >=
       factors.conditional(*symptom_var).robust_center();
@@ -144,6 +147,8 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
   obs::Counter* c_resamples = nullptr;
   obs::Counter* c_kernel_cells = nullptr;
   obs::Counter* c_live_cells = nullptr;
+  obs::Counter* c_ttests = nullptr;
+  obs::Counter* c_ttest_degenerate = nullptr;
   obs::Counter* c_fast = nullptr;
   obs::Counter* c_fast_fallback = nullptr;
   obs::Histogram* h_pvalue = nullptr;
@@ -153,6 +158,10 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
     c_resamples = hooks.metrics->counter("infer.gibbs_node_resamples");
     c_kernel_cells = hooks.metrics->counter("infer.kernel_cells");
     c_live_cells = hooks.metrics->counter("infer.live_cells");
+    // One Welch test per sampled verdict; the stats kernel reports, the
+    // engine counts.
+    c_ttests = hooks.metrics->counter("stats.welch_ttests");
+    c_ttest_degenerate = hooks.metrics->counter("stats.ttest_degenerate");
     // Mode provenance: which path produced the verdicts. fast_path counts
     // exact evaluations; fast_fallback counts candidates that
     // requested fast mode but fell back to the scalar loop (non-flattened
@@ -241,8 +250,11 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
     } else if (c_fast_fallback != nullptr && verdict.path_len > 0) {
       c_fast_fallback->add(1);
     }
-    if (h_pvalue != nullptr && verdict.path_len > 0)
+    if (h_pvalue != nullptr && verdict.path_len > 0) {
       h_pvalue->observe(verdict.p_value);
+      c_ttests->add(1);
+      if (verdict.ttest_degenerate) c_ttest_degenerate->add(1);
+    }
     if (verdict.is_root_cause && c_accepted != nullptr) c_accepted->add(1);
   });
   std::vector<Accepted> accepted;

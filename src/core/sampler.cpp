@@ -225,6 +225,7 @@ CounterfactualVerdict CounterfactualSampler::evaluate(
 
   // Symptom abnormally high: root cause iff counterfactual lowers D
   // (d1 << d2, small p_less). Abnormally low: iff it raises D.
+  verdict.ttest_degenerate = t.degenerate;
   verdict.p_value = symptom_high ? t.p_less : 1.0 - t.p_less;
   verdict.is_root_cause = verdict.p_value < opts_.significance;
   return verdict;

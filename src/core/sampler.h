@@ -76,6 +76,9 @@ struct CounterfactualVerdict {
   // value (DESIGN.md §11); the scalar loop computes only these. Structural
   // like kernel_cells, so both modes report the same count.
   std::size_t live_cells = 0;
+  // True when the Welch test (run once per verdict with path_len > 0) gave
+  // the evidence-free result of a degenerate input (stats::TTestResult).
+  bool ttest_degenerate = false;
   // True when the exact path produced this verdict (false in scalar mode and
   // for per-candidate fallbacks), so audits record which mode it came from.
   bool fast_path = false;

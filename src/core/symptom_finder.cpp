@@ -21,15 +21,17 @@ std::vector<Symptom> find_symptoms(const telemetry::MonitoringDb& db,
                                    TimeIndex history_begin) {
   std::vector<Symptom> out;
   std::size_t scanned = 0;
+  std::size_t nonfinite_reads = 0;
   for (const EntityId entity : entities) {
     if (!db.has_entity(entity)) continue;
     for (const MetricKindId kind : db.metrics().kinds_of(entity)) {
       ++scanned;
       const auto* ts = db.metrics().find(entity, kind);
       if (ts == nullptr || now >= ts->size()) continue;
-      const double value = ts->value_or(now, 0.0);
+      const double value = ts->value_or(now, 0.0, &nonfinite_reads);
 
-      const auto history = ts->window(history_begin, now + 1, 0.0);
+      const auto history =
+          ts->window(history_begin, now + 1, 0.0, &nonfinite_reads);
       const double center = stats::median(history);
       const double sigma = stats::mad_sigma(history);
       const double z = std::abs(stats::zscore(value, center, sigma, 1e-3));
@@ -60,6 +62,7 @@ std::vector<Symptom> find_symptoms(const telemetry::MonitoringDb& db,
   if (opts.metrics != nullptr) {
     opts.metrics->counter("finder.metrics_scanned")->add(scanned);
     opts.metrics->counter("finder.symptoms_found")->add(out.size());
+    opts.metrics->add_nonzero("ingest.nonfinite_reads", nonfinite_reads);
   }
   return out;
 }

@@ -91,7 +91,7 @@ void corrupt_series(telemetry::MonitoringDb& db, EntityId entity,
   if (opts.reingest) {
     // Round-trip the corrupted payload through ingest: put() re-sanitizes,
     // so the non-finite slices above arrive as missing instead of stored.
-    db.metrics().put(entity, kind, telemetry::TimeSeries(*ts));
+    report.drops += db.metrics().put(entity, kind, telemetry::TimeSeries(*ts));
   }
 }
 
@@ -122,7 +122,8 @@ ChaosReport apply_chaos(telemetry::MonitoringDb& db, const ChaosOptions& opts,
   if (!entities.empty()) {
     for (std::size_t i = 0; i < opts.self_loops; ++i) {
       const EntityId e = entities[srng.below(entities.size())];
-      db.add_association(e, e, telemetry::RelationKind::kGeneric);
+      report.drops +=
+          db.add_association(e, e, telemetry::RelationKind::kGeneric);
       ++report.self_loops_offered;
     }
     for (std::size_t i = 0; i < opts.orphan_edges; ++i) {
@@ -130,11 +131,11 @@ ChaosReport apply_chaos(telemetry::MonitoringDb& db, const ChaosOptions& opts,
       // An id beyond every slot ever allocated: never present.
       const EntityId ghost(
           static_cast<std::uint32_t>(db.entity_count() + 1000 + i));
-      if (srng.chance(0.5)) {
-        db.add_association(e, ghost, telemetry::RelationKind::kGeneric);
-      } else {
-        db.add_association(ghost, e, telemetry::RelationKind::kGeneric);
-      }
+      report.drops +=
+          srng.chance(0.5)
+              ? db.add_association(e, ghost, telemetry::RelationKind::kGeneric)
+              : db.add_association(ghost, e,
+                                   telemetry::RelationKind::kGeneric);
       ++report.orphan_edges_offered;
     }
   }

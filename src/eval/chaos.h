@@ -74,7 +74,12 @@ struct ChaosReport {
   std::size_t self_loops_offered = 0;
   std::size_t orphan_edges_offered = 0;
   std::size_t stripped_entities = 0;
+  // What the db's ingest guards dropped in response: the offered edges, and
+  // with reingest the non-finite slices and no-op puts. The caller that
+  // holds a metrics registry counts these as `ingest.*`.
+  telemetry::IngestDrops drops;
 
+  // Injected faults only: `drops` are the db's responses to them.
   [[nodiscard]] std::size_t total() const {
     return nan_slices + inf_slices + denormal_slices + constant_columns +
            near_constant_columns + huge_scale_columns + dropped_histories +

@@ -10,7 +10,6 @@
 #include "src/common/strings.h"
 #include "src/eval/runner.h"
 #include "src/eval/tables.h"
-#include "src/obs/metrics.h"
 #include "src/service/diagnosis_service.h"
 #include "src/service/feed.h"
 #include "src/service/telemetry_stream.h"
@@ -65,8 +64,11 @@ void degrade_case(emulation::DiagnosisCase& c, const MatrixOptions& opts,
   if (severity <= 0.0) return;
   const MetricRef protect{
       c.symptom_entity, c.db.catalog().intern(c.symptom_metric)};
-  (void)apply_chaos(c.db, scaled_chaos(opts.chaos, severity, chaos_seed),
-                    std::span<const MetricRef>(&protect, 1));
+  const ChaosReport report =
+      apply_chaos(c.db, scaled_chaos(opts.chaos, severity, chaos_seed),
+                  std::span<const MetricRef>(&protect, 1));
+  if (opts.murphy.obs.metrics != nullptr)
+    service::count_ingest_drops(*opts.murphy.obs.metrics, report.drops);
 }
 
 // Murphy through the long-running service: warm prefix + streamed incident
@@ -78,7 +80,8 @@ core::DiagnosisResult diagnose_via_service(
     double* latency_ms) {
   service::ReplayFeed feed =
       service::make_replay_feed(c.db, c.incident_start);
-  service::TelemetryStream stream(std::move(feed.warm));
+  service::TelemetryStream stream(std::move(feed.warm),
+                                 opts.murphy.obs.metrics);
   service::DiagnosisServiceOptions sopts;
   sopts.murphy = opts.murphy;
   sopts.num_workers = opts.service_workers;
@@ -255,8 +258,8 @@ MatrixReport run_battle_matrix(const MatrixOptions& opts,
   return report;
 }
 
-void record_matrix_gauges(const MatrixReport& report) {
-  auto& reg = obs::global_metrics();
+void record_matrix_gauges(const MatrixReport& report,
+                          obs::MetricsRegistry& reg) {
   for (const MatrixCell& cell : report.cells) {
     const std::string key = "matrix." + cell.topology + "." + cell.fault +
                             "." + cell.quality + "." + cell.scheme + ".";

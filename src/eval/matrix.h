@@ -35,6 +35,7 @@
 #include "src/emulation/topo_gen.h"
 #include "src/eval/chaos.h"
 #include "src/eval/metrics.h"
+#include "src/obs/metrics.h"
 
 namespace murphy::eval {
 
@@ -65,7 +66,9 @@ struct MatrixOptions {
   ChaosOptions chaos;
   // Murphy engine configuration — used for the service-routed cells (the
   // DiagnosisService wraps its own engine) and expected to match the
-  // MurphyDiagnoser passed in `schemes`.
+  // MurphyDiagnoser passed in `schemes`. Its obs.metrics registry, when set,
+  // also counts the ingest.* drops of the chaos pass and of the service
+  // route's stream.
   core::MurphyOptions murphy;
   // Topologies with at least this many services route Murphy through
   // DiagnosisService (0 = always, SIZE_MAX = never).
@@ -122,12 +125,13 @@ struct MatrixReport {
 [[nodiscard]] MatrixReport run_battle_matrix(
     const MatrixOptions& opts, std::span<core::Diagnoser* const> schemes);
 
-// Records every cell into the process-global metrics registry:
-// deterministic fields as matrix.<topo>.<fault>.<quality>.<scheme>.{top1,
-// top3,mrr,relaxed_top1,cases,services,via_service} gauges, latency under
-// matrix_latency.<...>.ms. write_bench_json() then snapshots them into
-// BENCH_battle_matrix.json.
-void record_matrix_gauges(const MatrixReport& report);
+// Records every cell into `reg`: deterministic fields as
+// matrix.<topo>.<fault>.<quality>.<scheme>.{top1,top3,mrr,relaxed_top1,
+// cases,services,via_service} gauges, latency under matrix_latency.<...>.ms.
+// bench_battle_matrix passes the registry its BENCH_battle_matrix.json
+// snapshot is written from.
+void record_matrix_gauges(const MatrixReport& report,
+                          obs::MetricsRegistry& reg);
 
 // Human-readable per-cell table (one row per cell x scheme).
 [[nodiscard]] std::string matrix_table(const MatrixReport& report);

@@ -4,19 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "src/obs/metrics.h"
-
 namespace murphy::eval {
-namespace {
-
-// Case accounting goes to the process-global registry so eval binaries can
-// snapshot it without plumbing a registry through every run_case call site.
-void count_case(bool hit_top1) {
-  obs::global_metrics().counter("eval.cases_run")->add(1);
-  if (hit_top1) obs::global_metrics().counter("eval.cases_top1_hit")->add(1);
-}
-
-}  // namespace
 
 core::DiagnosisRequest request_for(const emulation::DiagnosisCase& c) {
   core::DiagnosisRequest req;
@@ -45,17 +33,13 @@ CaseOutcome run_case(core::Diagnoser& scheme,
                      const emulation::DiagnosisCase& c) {
   const auto result = scheme.diagnose(request_for(c));
   const std::vector<EntityId> truth{c.root_cause};
-  const CaseOutcome outcome = score_result(result, truth, c.relaxed_set);
-  count_case(outcome.hit(1));
-  return outcome;
+  return score_result(result, truth, c.relaxed_set);
 }
 
 CaseOutcome run_case(core::Diagnoser& scheme,
                      const enterprise::EnterpriseIncident& inc) {
   const auto result = scheme.diagnose(request_for(inc));
-  const CaseOutcome outcome = score_result(result, inc.ground_truth);
-  count_case(outcome.hit(1));
-  return outcome;
+  return score_result(result, inc.ground_truth);
 }
 
 core::DiagnosisResult truncated(core::DiagnosisResult result, std::size_t k) {

@@ -62,6 +62,10 @@ Counter* MetricsRegistry::counter(std::string_view name) {
   return it->second.get();
 }
 
+void MetricsRegistry::add_nonzero(std::string_view name, std::uint64_t n) {
+  if (n > 0) counter(name)->add(n);
+}
+
 Gauge* MetricsRegistry::gauge(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);

@@ -97,6 +97,11 @@ class MetricsRegistry {
   [[nodiscard]] Histogram* histogram(std::string_view name,
                                      std::vector<double> bounds);
 
+  // Adds n to counter `name`, creating it only when n > 0, so a defect
+  // counter appears in a snapshot once a defect occurred. Takes the
+  // registry mutex: hot paths resolve a counter() pointer once instead.
+  void add_nonzero(std::string_view name, std::uint64_t n);
+
   // Lookup without creation; nullptr when absent (or a different kind).
   [[nodiscard]] const Counter* find_counter(std::string_view name) const;
   [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
@@ -130,8 +135,10 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
-// Process-global registry. The stats layer and the bench harness record
-// here; the engine itself only writes to an explicitly supplied registry.
+// Process-global registry. Nothing in the library writes here on its own:
+// every layer counts into the registry its owner was given (ObsHooks,
+// TelemetryStream, Watchdog, ...). Benches, perfbench and murphyd choose to
+// attach this one so their snapshots gather every layer in one place.
 [[nodiscard]] MetricsRegistry& global_metrics();
 
 }  // namespace murphy::obs

@@ -1,13 +1,25 @@
 #include "src/service/telemetry_stream.h"
 
 #include <algorithm>
-
-#include "src/obs/metrics.h"
+#include <cmath>
 
 namespace murphy::service {
 
-TelemetryStream::TelemetryStream(telemetry::MonitoringDb db)
-    : db_(std::move(db)) {}
+void count_ingest_drops(obs::MetricsRegistry& metrics,
+                        const telemetry::IngestDrops& drops) {
+  metrics.add_nonzero("ingest.nonfinite_dropped", drops.nonfinite_dropped);
+  metrics.add_nonzero("ingest.noop_puts", drops.noop_puts);
+  metrics.add_nonzero("ingest.selfloop_edges_dropped",
+                      drops.selfloop_edges_dropped);
+  metrics.add_nonzero("ingest.orphan_edges_dropped",
+                      drops.orphan_edges_dropped);
+}
+
+TelemetryStream::TelemetryStream(telemetry::MonitoringDb db,
+                                 obs::MetricsRegistry* metrics)
+    : db_(std::move(db)), metrics_(metrics) {
+  if (metrics_ != nullptr) c_cells_ = metrics_->counter("ingest.cells");
+}
 
 TelemetryStream::ReadLock TelemetryStream::read() const {
   return ReadLock(mu_, &db_);
@@ -21,6 +33,7 @@ std::size_t TelemetryStream::append(std::span<const TelemetryCell> cells) {
   std::size_t written = 0;
   std::size_t unknown = 0;
   std::size_t out_of_axis = 0;
+  telemetry::IngestDrops drops;
   std::vector<SeriesTouch> touches;
   CommitObserver observer;
   {
@@ -45,6 +58,7 @@ std::size_t TelemetryStream::append(std::span<const TelemetryCell> cells) {
       db_.metrics().upsert_cell(c.entity, c.kind, c.t, c.value,
                                 observed ? &epoch : nullptr);
       ++written;
+      if (!std::isfinite(c.value)) ++drops.nonfinite_dropped;
       if (observed) {
         // The epoch is captured at the write itself; the adjacency check
         // dedups grouped batches (keeping the newest write's epoch) and the
@@ -80,14 +94,13 @@ std::size_t TelemetryStream::append(std::span<const TelemetryCell> cells) {
       observer = observer_;
     }
   }
-  // Defect counters outside the lock — they are process-global atomics.
-  if (written > 0) obs::global_metrics().counter("ingest.cells")->add(written);
-  if (unknown > 0)
-    obs::global_metrics().counter("ingest.unknown_entity_dropped")
-        ->add(unknown);
-  if (out_of_axis > 0)
-    obs::global_metrics().counter("ingest.out_of_axis_dropped")
-        ->add(out_of_axis);
+  // Counters outside the lock.
+  if (metrics_ != nullptr) {
+    c_cells_->add(written);
+    metrics_->add_nonzero("ingest.unknown_entity_dropped", unknown);
+    metrics_->add_nonzero("ingest.out_of_axis_dropped", out_of_axis);
+    count_ingest_drops(*metrics_, drops);
+  }
   // Post-commit notification, outside the lock so the observer may read the
   // stream (and so a slow observer never blocks readers or other writers).
   if (observer && !touches.empty()) observer(touches);

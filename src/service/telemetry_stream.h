@@ -28,10 +28,16 @@
 
 #include "src/common/ids.h"
 #include "src/common/time_axis.h"
+#include "src/obs/metrics.h"
 #include "src/telemetry/monitoring_db.h"
 #include "src/telemetry/snapshot.h"
 
 namespace murphy::service {
+
+// Counts what an ingest path dropped (telemetry::IngestDrops, e.g. from a
+// CSV import or a chaos pass) under the `ingest.*` names.
+void count_ingest_drops(obs::MetricsRegistry& metrics,
+                        const telemetry::IngestDrops& drops);
 
 // One streamed metric observation.
 struct TelemetryCell {
@@ -52,7 +58,11 @@ struct SeriesTouch {
 
 class TelemetryStream {
  public:
-  explicit TelemetryStream(telemetry::MonitoringDb db = {});
+  // `metrics` receives the `ingest.*` counters of append(); it may be null
+  // (counters are then skipped) and must outlive the stream. murphyd passes
+  // the process-global registry.
+  explicit TelemetryStream(telemetry::MonitoringDb db = {},
+                           obs::MetricsRegistry* metrics = nullptr);
   TelemetryStream(const TelemetryStream&) = delete;
   TelemetryStream& operator=(const TelemetryStream&) = delete;
 
@@ -99,8 +109,9 @@ class TelemetryStream {
   // caller). Cells addressing unknown entities are dropped and counted
   // (`ingest.unknown_entity_dropped`); out-of-axis times are dropped and
   // counted (`ingest.out_of_axis_dropped`); non-finite values become missing
-  // points inside the store (DESIGN.md §8). Written cells are counted in
-  // `ingest.cells`. Returns the number of cells actually written.
+  // points inside the store (DESIGN.md §8, `ingest.nonfinite_dropped`).
+  // Written cells, non-finite ones included, are counted in `ingest.cells`.
+  // Returns the number of cells actually written.
   std::size_t append(std::span<const TelemetryCell> cells);
 
   // Post-commit observer: called after every append() that wrote at least
@@ -143,6 +154,8 @@ class TelemetryStream {
   mutable std::shared_mutex mu_;
   telemetry::MonitoringDb db_;
   CommitObserver observer_;  // guarded by mu_; invoked outside it
+  obs::MetricsRegistry* metrics_;
+  obs::Counter* c_cells_ = nullptr;
 };
 
 }  // namespace murphy::service

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "src/obs/metrics.h"
 #include "src/stats/summary.h"
 
 namespace murphy::stats {
@@ -50,21 +49,14 @@ void RidgeRegression::fit_weighted(const Matrix& x, const Vector& y,
         ++cells;
       }
     }
-    obs::global_metrics().counter("train.nonfinite_cells")->add(cells);
     fit_weighted(xc, yc, weights);
+    report_.nonfinite_cells = cells;
     return;
   }
 
   const std::size_t n = x.rows();
   const std::size_t p = x.cols();
-  // Hot-path accounting in the process-global registry; the instrument
-  // pointers are resolved once, updates are single relaxed atomics.
-  static obs::Counter* const c_fits =
-      obs::global_metrics().counter("stats.ridge_fits");
-  static obs::Counter* const c_cells =
-      obs::global_metrics().counter("stats.ridge_cells");
-  c_fits->add(1);
-  c_cells->add(static_cast<std::uint64_t>(n) * p);
+  report_ = RidgeFitReport{.cells = n * p};
   assert(y.size() == n && weights.size() == n);
   assert(n >= 1);
 
@@ -96,20 +88,14 @@ void RidgeRegression::fit_weighted(const Matrix& x, const Vector& y,
       var[j] += wi * d * d;
     }
   }
-  std::size_t degenerate_cols = 0;
   for (std::size_t j = 0; j < p; ++j) {
     const double sd = std::sqrt(var[j] / w_total);
     if (sd > 1e-12) {
       feat_scale_[j] = sd;
     } else {
       feat_scale_[j] = 1.0;  // constant column -> weight 0
-      ++degenerate_cols;
+      ++report_.degenerate_columns;
     }
-  }
-  if (degenerate_cols > 0) {
-    static obs::Counter* const c_degenerate =
-        obs::global_metrics().counter("train.degenerate_columns");
-    c_degenerate->add(degenerate_cols);
   }
   {
     double m = 0.0;

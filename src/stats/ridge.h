@@ -10,6 +10,15 @@
 
 namespace murphy::stats {
 
+// What the last fit did. The kernel names no metrics registry; its owner
+// counts the report (FactorSet and Sage: stats.ridge_fits, stats.ridge_cells,
+// train.nonfinite_cells, train.degenerate_columns).
+struct RidgeFitReport {
+  std::size_t cells = 0;               // rows x columns of the design
+  std::size_t nonfinite_cells = 0;     // design/target cells replaced by 0.0
+  std::size_t degenerate_columns = 0;  // constant columns, given weight 0
+};
+
 class RidgeRegression final : public Predictor {
  public:
   explicit RidgeRegression(double l2 = 1.0);
@@ -24,6 +33,8 @@ class RidgeRegression final : public Predictor {
   [[nodiscard]] double predict(std::span<const double> x) const override;
   [[nodiscard]] double residual_sigma() const override { return sigma_; }
   [[nodiscard]] ModelKind kind() const override { return ModelKind::kRidge; }
+
+  [[nodiscard]] const RidgeFitReport& fit_report() const { return report_; }
 
   // Weights in the standardized feature space (diagnostic / tests).
   [[nodiscard]] const Vector& standardized_weights() const { return w_; }
@@ -43,6 +54,7 @@ class RidgeRegression final : public Predictor {
   double y_mean_ = 0.0;
   double sigma_ = 0.0;
   bool fitted_ = false;
+  RidgeFitReport report_;
 };
 
 }  // namespace murphy::stats

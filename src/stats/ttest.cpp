@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "src/obs/metrics.h"
 #include "src/stats/summary.h"
 
 namespace murphy::stats {
@@ -86,14 +85,12 @@ namespace {
 // The evidence-free verdict for degenerate inputs: neutral in both
 // directions, so it can never implicate (or exonerate) a candidate.
 TTestResult degenerate_ttest() {
-  static obs::Counter* const c_degenerate =
-      obs::global_metrics().counter("stats.ttest_degenerate");
-  c_degenerate->add(1);
   TTestResult r;
   r.t = 0.0;
   r.dof = 1.0;
   r.p_less = 0.5;
   r.p_two_sided = 1.0;
+  r.degenerate = true;
   return r;
 }
 
@@ -106,9 +103,6 @@ TTestResult welch_t_test(std::span<const double> x, std::span<const double> y) {
 
 TTestResult welch_from_moments(double mx, double vx, std::size_t x_count,
                                double my, double vy, std::size_t y_count) {
-  static obs::Counter* const c_tests =
-      obs::global_metrics().counter("stats.welch_ttests");
-  c_tests->add(1);
   // Defined, finite semantics for degenerate samples (previously asserted):
   // fewer than 2 points on either side carries no distributional evidence.
   if (x_count < 2 || y_count < 2) return degenerate_ttest();

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "src/obs/metrics.h"
 #include "src/stats/summary.h"
 
 namespace murphy::stats {
@@ -13,17 +12,11 @@ ColumnMoments build_column_moments(std::vector<double> values) {
   const std::size_t n = m.values.size();
   // Defined defect semantics: non-finite slices degrade to the missing-value
   // fallback (0.0) instead of poisoning every moment built from the column.
-  std::size_t nonfinite = 0;
   for (double& v : m.values) {
     if (!std::isfinite(v)) {
       v = 0.0;
-      ++nonfinite;
+      ++m.nonfinite_cells;
     }
-  }
-  if (nonfinite > 0) {
-    static obs::Counter* const c_nonfinite =
-        obs::global_metrics().counter("train.nonfinite_cells");
-    c_nonfinite->add(nonfinite);
   }
   // Exactly mean()'s sum order, then pearson()'s dx and sxx accumulation;
   // variance() accumulates the identical products, so sigma reproduces

@@ -21,6 +21,7 @@
 // diagnoses share one materialization per key.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "src/stats/build_once_map.h"
@@ -34,14 +35,16 @@ struct ColumnMoments {
   double mean = 0.0;
   double sxx = 0.0;    // sum of squared deviations (pearson's accumulator)
   double sigma = 0.0;  // classic stddev, sqrt(sxx / (n-1)); 0 when n < 2
+  std::size_t nonfinite_cells = 0;  // values replaced by 0.0 (see below)
 };
 
 // Builds the moments of one column. Non-finite values are a telemetry
 // defect (DESIGN.md §8): they are replaced by 0.0 — the engine's
 // missing-value fallback, matching TimeSeries::window() — before any moment
-// is accumulated (counter `train.nonfinite_cells`), so one poisoned slice
-// can no longer NaN every moment cached from the column. Finite columns
-// are processed bit-identically to before.
+// is accumulated, so one poisoned slice can no longer NaN every moment
+// cached from the column. The replacements are reported in
+// `nonfinite_cells`; FactorSet counts them as `train.nonfinite_cells`.
+// Finite columns are processed bit-identically to before.
 [[nodiscard]] ColumnMoments build_column_moments(std::vector<double> values);
 
 using WindowStats = BuildOnceMap<ColumnMoments>;

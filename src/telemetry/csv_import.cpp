@@ -168,7 +168,8 @@ std::optional<ImportResult> import_csv(std::istream& entities,
       return fail(error, "associations: unknown kind '" + fields[2] + "'",
                   line_no),
              std::nullopt;
-    db.add_association(ia->second, ib->second, *kind, fields[3] == "1");
+    result.drops +=
+        db.add_association(ia->second, ib->second, *kind, fields[3] == "1");
     ++result.associations;
   }
 
@@ -232,8 +233,9 @@ std::optional<ImportResult> import_csv(std::istream& entities,
   for (auto& [ref, acc] : series) {
     acc.values.resize(max_slice + 1, 0.0);
     acc.valid.resize(max_slice + 1, false);
-    db.metrics().put(ref.entity, ref.kind,
-                     TimeSeries(std::move(acc.values), std::move(acc.valid)));
+    result.drops += db.metrics().put(
+        ref.entity, ref.kind,
+        TimeSeries(std::move(acc.values), std::move(acc.valid)));
     ++result.series;
   }
   return result;

@@ -42,6 +42,10 @@ struct ImportResult {
   // dropped to missing by MetricStore::put's ingest sanitizer (the slice
   // keeps valid=0), so a round-trip through export_csv converges.
   std::size_t nonfinite_values = 0;
+  // What the db's ingest paths dropped: malformed association rows, and the
+  // nonfinite_values rows marked valid. A caller that holds a metrics
+  // registry counts these as `ingest.*` (murphyd does).
+  IngestDrops drops;
 };
 
 // Stream-based import. The metrics stream must use the long format written

@@ -5,19 +5,7 @@
 #include <cmath>
 #include <cstring>
 
-#include "src/obs/metrics.h"
-
 namespace murphy::telemetry {
-namespace {
-
-// Ingest/read-side defect counters (DESIGN.md §8). Resolved once; updates
-// are single relaxed atomics and only happen on the defect path.
-void count_defect(const char* name, std::uint64_t n) {
-  if (n == 0) return;
-  obs::global_metrics().counter(name)->add(n);
-}
-
-}  // namespace
 
 TimeSeries::TimeSeries(std::vector<double> values)
     : values_(std::move(values)), valid_(values_.size(), true) {}
@@ -27,7 +15,8 @@ TimeSeries::TimeSeries(std::vector<double> values, std::vector<bool> valid)
   assert(values_.size() == valid_.size());
 }
 
-double TimeSeries::value_or(TimeIndex t, double fallback) const {
+double TimeSeries::value_or(TimeIndex t, double fallback,
+                            std::size_t* nonfinite_reads) const {
   if (t >= values_.size() || !valid_[t]) return fallback;
   const double v = values_[t];
   if (!std::isfinite(v)) {
@@ -35,7 +24,7 @@ double TimeSeries::value_or(TimeIndex t, double fallback) const {
     // ingest sanitizer; the read path defines them as missing so a poisoned
     // slice degrades to the documented fallback instead of NaN-ing every
     // moment downstream.
-    count_defect("ingest.nonfinite_reads", 1);
+    if (nonfinite_reads != nullptr) ++*nonfinite_reads;
     return fallback;
   }
   return v;
@@ -69,14 +58,16 @@ void TimeSeries::invalidate_before(TimeIndex t) {
 }
 
 std::vector<double> TimeSeries::window(TimeIndex from, TimeIndex to,
-                                       double fallback) const {
+                                       double fallback,
+                                       std::size_t* nonfinite_reads) const {
   // Total on any (from, to): an inverted window is empty (the unsigned
   // to - from below would otherwise reserve ~2^64 slices), and slices beyond
   // the axis read as missing through value_or's bounds check.
   if (to < from) return {};
   std::vector<double> out;
   out.reserve(to - from);
-  for (TimeIndex t = from; t < to; ++t) out.push_back(value_or(t, fallback));
+  for (TimeIndex t = from; t < to; ++t)
+    out.push_back(value_or(t, fallback, nonfinite_reads));
   return out;
 }
 
@@ -101,14 +92,15 @@ std::uint64_t MetricStore::series_epoch(EntityId entity,
   return it == epochs_.end() ? 0 : it->second;
 }
 
-void MetricStore::put(EntityId entity, MetricKindId kind,
-                      std::vector<double> values) {
-  put(entity, kind, TimeSeries(std::move(values)));
+IngestDrops MetricStore::put(EntityId entity, MetricKindId kind,
+                             std::vector<double> values) {
+  return put(entity, kind, TimeSeries(std::move(values)));
 }
 
-void MetricStore::put(EntityId entity, MetricKindId kind, TimeSeries series) {
+IngestDrops MetricStore::put(EntityId entity, MetricKindId kind,
+                             TimeSeries series) {
   assert(series.size() == axis_.size());
-  count_defect("ingest.nonfinite_dropped", series.sanitize());
+  IngestDrops drops{.nonfinite_dropped = series.sanitize()};
   const MetricRef ref{entity, kind};
   const auto it = series_.find(ref);
   if (it != series_.end() && it->second.bitwise_equal(series)) {
@@ -116,14 +108,15 @@ void MetricStore::put(EntityId entity, MetricKindId kind, TimeSeries series) {
     // restarted from the top): the stored bits are already these bits, so
     // nothing downstream can observe a change — skip every version/epoch
     // bump and keep warm caches warm.
-    count_defect("ingest.noop_puts", 1);
-    return;
+    drops.noop_puts = 1;
+    return drops;
   }
   ++version_;
   ++epochs_[ref];
   const bool fresh = it == series_.end();
   series_.insert_or_assign(ref, std::move(series));
   if (fresh) kinds_[entity].push_back(kind);
+  return drops;
 }
 
 bool MetricStore::upsert_cell(EntityId entity, MetricKindId kind, TimeIndex t,
@@ -145,7 +138,6 @@ bool MetricStore::upsert_cell(EntityId entity, MetricKindId kind, TimeIndex t,
     // Same defect semantics as put(): a non-finite payload never becomes a
     // readable slice.
     it->second.invalidate(t);
-    count_defect("ingest.nonfinite_dropped", 1);
   }
   ++version_;
   const std::uint64_t epoch = ++epochs_[ref];

@@ -10,17 +10,24 @@
 // moment, factor and ranking downstream. The store therefore defines
 // non-finite values as MISSING:
 //  * MetricStore::put() sanitizes at ingest — non-finite slices are marked
-//    invalid (counter `ingest.nonfinite_dropped`), the stored payload is
+//    invalid and reported in the returned IngestDrops, the stored payload is
 //    untouched;
 //  * TimeSeries::value_or() / window() treat a stored non-finite value as
-//    missing even when its validity bit is set (counter
-//    `ingest.nonfinite_reads`), covering raw writes through set() /
-//    find_mutable() that bypass ingest;
+//    missing even when its validity bit is set, covering raw writes through
+//    set() / find_mutable() that bypass ingest, and report each such read
+//    to the caller;
 //  * the raw accessors value() / values() still expose the stored payload
 //    (the exporter round-trips it; the importer re-drops it).
 // Finite data is returned bit-for-bit unchanged on every path.
+//
+// The telemetry layer names no metrics registry. Mutators return what they
+// dropped and degraded reads are reported to the reader; the owner that
+// holds a registry counts them under the `ingest.*` names given below
+// (TelemetryStream, the engine's training and inference, the CSV importer's
+// and the chaos harness's callers).
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -30,6 +37,23 @@
 #include "src/common/time_axis.h"
 
 namespace murphy::telemetry {
+
+// What an ingest mutator dropped instead of storing. Each field is counted
+// as `ingest.<field name>` by the owner that holds a metrics registry.
+struct IngestDrops {
+  std::size_t nonfinite_dropped = 0;  // non-finite slices marked missing
+  std::size_t noop_puts = 0;          // puts identical to the stored series
+  std::size_t selfloop_edges_dropped = 0;
+  std::size_t orphan_edges_dropped = 0;  // an endpoint is not in the db
+
+  IngestDrops& operator+=(const IngestDrops& o) {
+    nonfinite_dropped += o.nonfinite_dropped;
+    noop_puts += o.noop_puts;
+    selfloop_edges_dropped += o.selfloop_edges_dropped;
+    orphan_edges_dropped += o.orphan_edges_dropped;
+    return *this;
+  }
+};
 
 // One metric's samples on the store's axis, with per-slice validity.
 class TimeSeries {
@@ -43,8 +67,11 @@ class TimeSeries {
   [[nodiscard]] bool is_valid(TimeIndex t) const { return valid_[t]; }
   // Value at t, or `fallback` when the slice is missing. The paper uses a
   // default (e.g. 0% CPU) as placeholder for missing history (§4.2).
-  // Non-finite stored values count as missing (see header comment).
-  [[nodiscard]] double value_or(TimeIndex t, double fallback) const;
+  // Non-finite stored values count as missing (see header comment); each
+  // such read adds 1 to *nonfinite_reads when it is non-null
+  // (`ingest.nonfinite_reads`).
+  [[nodiscard]] double value_or(TimeIndex t, double fallback,
+                                std::size_t* nonfinite_reads = nullptr) const;
 
   [[nodiscard]] std::span<const double> values() const { return values_; }
 
@@ -69,8 +96,10 @@ class TimeSeries {
   // Values restricted to [from, to) with missing slices replaced by
   // `fallback`; the shape the trainers consume. Total: an inverted window
   // (to < from) is empty, slices beyond the axis read as `fallback`.
-  [[nodiscard]] std::vector<double> window(TimeIndex from, TimeIndex to,
-                                           double fallback = 0.0) const;
+  // Non-finite reads are reported as in value_or().
+  [[nodiscard]] std::vector<double> window(
+      TimeIndex from, TimeIndex to, double fallback = 0.0,
+      std::size_t* nonfinite_reads = nullptr) const;
 
  private:
   std::vector<double> values_;
@@ -115,16 +144,18 @@ class MetricStore {
 
   // Replaces any existing series for (entity, kind). `values.size()` must
   // equal axis().size(). Ingest sanitizes: non-finite slices are marked
-  // missing (counter `ingest.nonfinite_dropped`). A no-op put — a series
-  // bitwise identical (values and validity) to the one already stored —
-  // bumps nothing (counter `ingest.noop_puts`), so idempotent re-ingestion
-  // keeps warm caches warm.
-  void put(EntityId entity, MetricKindId kind, std::vector<double> values);
-  void put(EntityId entity, MetricKindId kind, TimeSeries series);
+  // missing (reported as nonfinite_dropped). A no-op put — a series bitwise
+  // identical (values and validity) to the one already stored — bumps
+  // nothing (reported as noop_puts), so idempotent re-ingestion keeps warm
+  // caches warm.
+  IngestDrops put(EntityId entity, MetricKindId kind,
+                  std::vector<double> values);
+  IngestDrops put(EntityId entity, MetricKindId kind, TimeSeries series);
 
   // Streaming ingestion: writes one slice of (entity, kind), creating the
   // series (all slices missing) when absent. Non-finite values are the usual
-  // telemetry defect: the slice stays missing (`ingest.nonfinite_dropped`).
+  // telemetry defect: the slice stays missing (TelemetryStream counts these
+  // cells as `ingest.nonfinite_dropped`).
   // Bumps version() and the series epoch. Returns true when the series was
   // created by this call. When `epoch_out` is non-null it receives the
   // post-write series epoch — the commit-observer path captures it here,

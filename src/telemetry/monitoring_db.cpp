@@ -4,8 +4,6 @@
 #include <atomic>
 #include <cassert>
 
-#include "src/obs/metrics.h"
-
 namespace murphy::telemetry {
 
 std::uint64_t DbUid::next() {
@@ -24,24 +22,19 @@ EntityId MonitoringDb::add_entity(EntityType type, std::string name,
   return id;
 }
 
-void MonitoringDb::add_association(EntityId a, EntityId b, RelationKind kind,
-                                   bool directed) {
-  // Defined semantics for malformed edges (DESIGN.md §8): drop and count
+IngestDrops MonitoringDb::add_association(EntityId a, EntityId b,
+                                          RelationKind kind, bool directed) {
+  // Defined semantics for malformed edges (DESIGN.md §8): drop and report
   // instead of storing an edge no consumer can interpret. Nothing changes
   // for well-formed input, so no version bump on the drop paths.
-  if (a == b) {
-    obs::global_metrics().counter("ingest.selfloop_edges_dropped")->add(1);
-    return;
-  }
-  if (!has_entity(a) || !has_entity(b)) {
-    obs::global_metrics().counter("ingest.orphan_edges_dropped")->add(1);
-    return;
-  }
+  if (a == b) return {.selfloop_edges_dropped = 1};
+  if (!has_entity(a) || !has_entity(b)) return {.orphan_edges_dropped = 1};
   ++structural_version_;
   const std::size_t index = associations_.size();
   associations_.push_back(Association{a, b, kind, directed});
   assoc_index_[a].push_back(index);
   assoc_index_[b].push_back(index);
+  return {};
 }
 
 AppId MonitoringDb::define_app(std::string name) {

@@ -81,11 +81,11 @@ class MonitoringDb {
                       AppId app = AppId::invalid());
   // Records a loose association. Malformed edges — self-loops and edges
   // whose endpoint is absent (never added, or removed) — are real telemetry
-  // defects; they are dropped at ingest and counted
-  // (`ingest.selfloop_edges_dropped`, `ingest.orphan_edges_dropped`) rather
-  // than stored, so no consumer ever sees them (DESIGN.md §8).
-  void add_association(EntityId a, EntityId b, RelationKind kind,
-                       bool directed = false);
+  // defects; they are dropped at ingest and reported in the returned
+  // IngestDrops (selfloop_edges_dropped, orphan_edges_dropped) rather than
+  // stored, so no consumer ever sees them (DESIGN.md §8).
+  IngestDrops add_association(EntityId a, EntityId b, RelationKind kind,
+                              bool directed = false);
   AppId define_app(std::string name);
   void add_to_app(AppId app, EntityId entity);
 

@@ -100,8 +100,11 @@ core::MurphyOptions tiny_opts(std::size_t num_threads = 1) {
 core::DiagnosisResult diagnose(const MonitoringDb& db, EntityId symptom,
                                TimeIndex now, TimeIndex train_begin,
                                TimeIndex train_end,
-                               std::size_t num_threads = 1) {
-  core::MurphyDiagnoser murphy(tiny_opts(num_threads));
+                               std::size_t num_threads = 1,
+                               obs::MetricsRegistry* metrics = nullptr) {
+  core::MurphyOptions opts = tiny_opts(num_threads);
+  opts.obs.metrics = metrics;
+  core::MurphyDiagnoser murphy(opts);
   core::DiagnosisRequest req;
   req.db = &db;
   req.symptom_entity = symptom;
@@ -256,10 +259,6 @@ TEST(Chaos, ProtectedSeriesAreNeverTouched) {
 TEST(Chaos, StructuralFaultsAreDroppedAtIngestAndCounted) {
   ChaosEnv env = make_env();
   const std::size_t edges_before = env.db.association_count();
-  const auto selfloops_before =
-      obs::global_metrics().counter("ingest.selfloop_edges_dropped")->value();
-  const auto orphans_before =
-      obs::global_metrics().counter("ingest.orphan_edges_dropped")->value();
 
   eval::ChaosOptions copts;
   copts.seed = 9;
@@ -276,53 +275,78 @@ TEST(Chaos, StructuralFaultsAreDroppedAtIngestAndCounted) {
   EXPECT_EQ(report.orphan_edges_offered, 3u);
   // Dropped at ingest: the association store never grew...
   EXPECT_EQ(env.db.association_count(), edges_before);
-  // ...and the drops are observable.
-  EXPECT_EQ(obs::global_metrics()
-                .counter("ingest.selfloop_edges_dropped")
-                ->value(),
-            selfloops_before + 4);
-  EXPECT_EQ(
-      obs::global_metrics().counter("ingest.orphan_edges_dropped")->value(),
-      orphans_before + 3);
+  // ...and every drop is reported, exactly, with nothing else dropped.
+  EXPECT_EQ(report.drops.selfloop_edges_dropped, 4u);
+  EXPECT_EQ(report.drops.orphan_edges_dropped, 3u);
+  EXPECT_EQ(report.drops.nonfinite_dropped, 0u);
+  EXPECT_EQ(report.drops.noop_puts, 0u);
 }
 
 TEST(Chaos, ValueDefectsSurfaceInCounters) {
   ChaosEnv env = make_env();
-  const auto reads_before =
-      obs::global_metrics().counter("ingest.nonfinite_reads")->value();
-  const auto cells_before =
-      obs::global_metrics().counter("train.nonfinite_cells")->value();
-
   eval::ChaosOptions copts;
   copts.seed = 31;
   copts.p_nan_slice = copts.p_inf_slice = 1.0;  // raw writes, no reingest
   const auto report = eval::apply_chaos(env.db, copts, {});
   ASSERT_GT(report.nan_slices + report.inf_slices, 0u);
 
-  const auto result =
-      diagnose(env.db, env.gateway, kSlices - 1, 0, kSlices, 1);
+  // The diagnosis reads every series of the mesh over [0, kSlices) to train
+  // and once more at `now`; each stored non-finite slice degrades on the
+  // read path, so the kernels downstream never see one.
+  const TimeIndex now = kSlices - 1;
+  std::size_t expected_reads = 0;
+  for (const EntityId e : env.entities) {
+    for (const MetricKindId k : env.db.metrics().kinds_of(e)) {
+      const auto* ts = env.db.metrics().find(e, k);
+      for (TimeIndex t = 0; t < kSlices; ++t) {
+        const bool defect = ts->is_valid(t) && !std::isfinite(ts->value(t));
+        expected_reads += defect ? (t == now ? 2 : 1) : 0;
+      }
+    }
+  }
+  ASSERT_GT(expected_reads, 0u);
+  obs::MetricsRegistry metrics;
+  const auto result = diagnose(env.db, env.gateway, now, 0, kSlices, 1,
+                               &metrics);
   expect_all_finite(result, 31);
-  // Raw non-finite payloads were seen and degraded somewhere observable:
-  // either the read path (value_or) or a kernel boundary.
-  const auto reads_after =
-      obs::global_metrics().counter("ingest.nonfinite_reads")->value();
-  const auto cells_after =
-      obs::global_metrics().counter("train.nonfinite_cells")->value();
-  EXPECT_GT(reads_after + cells_after, reads_before + cells_before);
+  EXPECT_EQ(metrics.counter("ingest.nonfinite_reads")->value(),
+            expected_reads);
+  EXPECT_EQ(metrics.find_counter("train.nonfinite_cells"), nullptr);
 }
 
 TEST(Chaos, ReingestedCorruptionIsAbsorbedAtIngest) {
   ChaosEnv env = make_env();
-  const auto dropped_before =
-      obs::global_metrics().counter("ingest.nonfinite_dropped")->value();
   eval::ChaosOptions copts;
   copts.seed = 13;
   copts.p_nan_slice = copts.p_inf_slice = 1.0;
+  // The same value corruption without the reingest pass: its valid
+  // non-finite slices are exactly what ingest must drop, and each series
+  // without one re-puts its stored bits unchanged (a no-op put). Value faults
+  // draw from per-series streams, so the twin keeps every series by not
+  // stripping entities and still gets the identical corruption.
+  eval::ChaosOptions raw_opts = copts;
+  raw_opts.strip_entities = 0;
+  ChaosEnv raw = make_env();
+  eval::apply_chaos(raw.db, raw_opts, {});
+  std::size_t expected_dropped = 0;
+  std::size_t expected_noops = 0;
+  for (const EntityId e : raw.db.all_entities()) {
+    for (const MetricKindId k : raw.db.metrics().kinds_of(e)) {
+      const auto* ts = raw.db.metrics().find(e, k);
+      std::size_t defects = 0;
+      for (TimeIndex t = 0; t < ts->size(); ++t)
+        defects += ts->is_valid(t) && !std::isfinite(ts->value(t)) ? 1 : 0;
+      expected_dropped += defects;
+      expected_noops += defects == 0 ? 1 : 0;
+    }
+  }
+  ASSERT_GT(expected_dropped, 0u);
   copts.reingest = true;
-  eval::apply_chaos(env.db, copts, {});
-  EXPECT_GT(
-      obs::global_metrics().counter("ingest.nonfinite_dropped")->value(),
-      dropped_before);
+  const auto report = eval::apply_chaos(env.db, copts, {});
+  EXPECT_EQ(report.drops.nonfinite_dropped, expected_dropped);
+  EXPECT_EQ(report.drops.noop_puts, expected_noops);
+  EXPECT_EQ(report.drops.selfloop_edges_dropped, copts.self_loops);
+  EXPECT_EQ(report.drops.orphan_edges_dropped, copts.orphan_edges);
   // Post-ingest the store holds no valid non-finite slice at all.
   for (const EntityId e : env.db.all_entities()) {
     for (const MetricKindId k : env.db.metrics().kinds_of(e)) {

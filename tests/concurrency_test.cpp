@@ -5,7 +5,10 @@
 // Plus unit tests for the ThreadPool / parallel_for machinery itself.
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -542,6 +545,13 @@ TEST(Determinism, InstrumentedDiagnosisBitwiseIdenticalAcrossThreadCounts) {
   ASSERT_FALSE(serial.result.causes.empty());
   ASSERT_FALSE(serial.result.audit.empty());
   ASSERT_FALSE(serial.trace_json.empty());
+  // The comparison below covers every layer: the stats kernels' reports
+  // reach the engine's registry too.
+  std::map<std::string, double> serial_values;
+  for (const auto& e : serial.metrics.entries) serial_values[e.name] = e.value;
+  for (const char* name :
+       {"stats.ridge_fits", "stats.ridge_cells", "stats.welch_ttests"})
+    EXPECT_GT(serial_values[name], 0.0) << name;
   // Instrumentation must not change the diagnosis itself.
   expect_bitwise_equal(diagnose_chain(env, 1), serial.result);
   for (const std::size_t threads : {2u, 8u}) {
@@ -571,6 +581,63 @@ TEST(Determinism, InstrumentedDiagnosisBitwiseIdenticalAcrossThreadCounts) {
       EXPECT_EQ(a.bucket_counts, b.bucket_counts);
     }
   }
+}
+
+// Counter and histogram-count values of one registry, minus the phase.*
+// wall-clock histograms (their counts are exact, but they are timing).
+std::map<std::string, double> exact_values(const obs::MetricsRegistry& reg) {
+  std::map<std::string, double> out;
+  for (const auto& e : reg.snapshot().entries)
+    if (e.name.rfind("phase.", 0) != 0) out[e.name] = e.value;
+  return out;
+}
+
+core::DiagnosisResult diagnose_chain_into(const ChainEnv& env,
+                                          obs::MetricsRegistry& registry) {
+  core::MurphyOptions mopts;
+  mopts.sampler.num_samples = 120;
+  mopts.num_threads = 2;
+  mopts.obs.metrics = &registry;
+  core::MurphyDiagnoser murphy(mopts);
+  core::DiagnosisRequest req;
+  req.db = &env.db;
+  req.symptom_entity = env.d;
+  req.symptom_metric = "cpu_util";
+  req.now = 199;
+  req.train_begin = 0;
+  req.train_end = 200;
+  return murphy.diagnose(req);
+}
+
+TEST(MetricsPath, TwoDiagnosersCountOnlyIntoTheirOwnRegistries) {
+  const auto env = make_chain_env();
+  const std::string global_before = obs::global_metrics().to_json();
+
+  obs::MetricsRegistry lone_reg;
+  const auto lone_result = diagnose_chain_into(env, lone_reg);
+  const auto lone = exact_values(lone_reg);
+  for (const char* name : {"stats.ridge_cells", "stats.ridge_fits",
+                           "stats.welch_ttests", "train.factors_trained"}) {
+    ASSERT_TRUE(lone.count(name)) << name;
+    EXPECT_GT(lone.at(name), 0.0) << name;
+  }
+
+  // Two engines at once, one registry each.
+  obs::MetricsRegistry reg_a, reg_b;
+  core::DiagnosisResult result_a, result_b;
+  std::thread ta([&] { result_a = diagnose_chain_into(env, reg_a); });
+  std::thread tb([&] { result_b = diagnose_chain_into(env, reg_b); });
+  ta.join();
+  tb.join();
+  expect_bitwise_equal(lone_result, result_a);
+  expect_bitwise_equal(lone_result, result_b);
+
+  // Each registry holds exactly a lone run's counts, every layer included:
+  // nothing from the other engine leaks in, nothing of its own leaks out.
+  EXPECT_EQ(exact_values(reg_a), lone);
+  EXPECT_EQ(exact_values(reg_b), lone);
+  // And nothing reaches the process-global registry.
+  EXPECT_EQ(obs::global_metrics().to_json(), global_before);
 }
 
 TEST(Determinism, AuditRecordsMatchRankedCauses) {

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/obs/metrics.h"
 #include "src/stats/correlation.h"
 #include "src/stats/gmm.h"
 #include "src/stats/matrix.h"
@@ -188,24 +187,23 @@ TEST(TTest, EqualConstantSamplesAreNeutral) {
   // Equal constants carry no evidence in either direction. p_less must be
   // the neutral 0.5: with p_less = 1 the sampler's flip for a LOW symptom
   // (p = 1 - p_less) would accept a candidate at p = 0.
-  obs::Counter* degenerate =
-      obs::global_metrics().counter("stats.ttest_degenerate");
-  const std::uint64_t before = degenerate->value();
   const std::vector<double> a{2.5, 2.5, 2.5, 2.5};
   const auto r = welch_t_test(a, a);
   EXPECT_EQ(r.t, 0.0);
   EXPECT_EQ(r.p_less, 0.5);
   EXPECT_EQ(1.0 - r.p_less, 0.5);
   EXPECT_EQ(r.p_two_sided, 1.0);
+  EXPECT_TRUE(r.degenerate);
   const auto m = welch_from_moments(-3.0, 0.0, 500, -3.0, 0.0, 500);
   EXPECT_EQ(m.p_less, 0.5);
   EXPECT_EQ(m.p_two_sided, 1.0);
-  EXPECT_EQ(degenerate->value(), before + 2);
-  // Distinct constants keep their certain direction.
+  EXPECT_TRUE(m.degenerate);
+  // Distinct constants keep their certain direction, and are evidence.
   const std::vector<double> b{3.0, 3.0, 3.0, 3.0};
   EXPECT_EQ(welch_t_test(a, b).p_less, 0.0);
   EXPECT_EQ(welch_t_test(b, a).p_less, 1.0);
   EXPECT_EQ(welch_t_test(a, b).p_two_sided, 0.0);
+  EXPECT_FALSE(welch_t_test(a, b).degenerate);
 }
 
 TEST(TTest, MomentFormIsTheSampleFormsArithmetic) {

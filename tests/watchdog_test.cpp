@@ -341,21 +341,24 @@ TEST(WatchdogChaos, CorruptionDoesNotPoisonRealDetection) {
 
 TEST(WatchdogHook, CommitObserverReportsTouchedSeriesWithEpochs) {
   ChainEnv env = make_chain_env(40, 40, 40);  // no surge
-  service::TelemetryStream stream(std::move(env.db));
+  obs::MetricsRegistry m;
+  service::TelemetryStream stream(std::move(env.db), &m);
   std::vector<service::SeriesTouch> seen;
   stream.set_commit_observer(
       [&seen](std::span<const service::SeriesTouch> touches) {
         seen.assign(touches.begin(), touches.end());
       });
-  const obs::Counter* cells = obs::global_metrics().counter("ingest.cells");
-  const std::uint64_t before = cells->value();
   const std::vector<service::TelemetryCell> batch = {
       {env.a, env.load, 5, 1.0},
       {env.a, env.load, 6, 2.0},  // same series: must dedup to one touch
       {env.b, env.load, 5, 3.0},
   };
   ASSERT_EQ(stream.append(batch), 3u);
-  EXPECT_EQ(cells->value() - before, 3u);
+  // The stream counts into the registry it was given, nothing else.
+  const obs::MetricsRegistry::Snapshot snap = m.snapshot();
+  ASSERT_EQ(snap.entries.size(), 1u);
+  EXPECT_EQ(snap.entries[0].name, "ingest.cells");
+  EXPECT_EQ(snap.entries[0].value, 3.0);
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0].ref, (MetricRef{env.a, env.load}));
   EXPECT_EQ(seen[1].ref, (MetricRef{env.b, env.load}));
@@ -371,25 +374,43 @@ TEST(WatchdogHook, CommitObserverReportsTouchedSeriesWithEpochs) {
   EXPECT_TRUE(seen.empty());
 }
 
+TEST(WatchdogHook, StreamCountsEachIngestDefectExactly) {
+  ChainEnv env = make_chain_env(40, 40, 40);
+  obs::MetricsRegistry m;
+  service::TelemetryStream stream(std::move(env.db), &m);
+  const std::size_t slices = stream.slice_count();
+  const std::vector<service::TelemetryCell> batch = {
+      {env.a, env.load, 5, 1.0},
+      {env.a, env.load, 6, std::numeric_limits<double>::quiet_NaN()},
+      {EntityId(9999), env.load, 5, 1.0},  // unknown entity
+      {env.b, env.load, slices, 1.0},      // beyond the axis
+      {env.b, env.load, slices + 1, 1.0},
+  };
+  ASSERT_EQ(stream.append(batch), 2u);
+  EXPECT_EQ(m.counter("ingest.cells")->value(), 2u);
+  EXPECT_EQ(m.counter("ingest.nonfinite_dropped")->value(), 1u);
+  EXPECT_EQ(m.counter("ingest.unknown_entity_dropped")->value(), 1u);
+  EXPECT_EQ(m.counter("ingest.out_of_axis_dropped")->value(), 2u);
+  EXPECT_EQ(m.snapshot().entries.size(), 4u);
+}
+
 TEST(WatchdogHook, CountersTrackScansAndTriggers) {
   const ChainEnv env = make_chain_env(160, 120, 160);
   service::ReplayFeed feed = service::make_replay_feed(env.db, 100);
   service::TelemetryStream stream(std::move(feed.warm));
   service::DiagnosisService svc(stream, fast_service_opts(0));
-  obs::MetricsRegistry& m = obs::global_metrics();
-  const std::uint64_t scans0 = m.counter("watchdog.scans")->value();
-  const std::uint64_t opened0 = m.counter("watchdog.incidents_opened")->value();
+  obs::MetricsRegistry m;
   Watchdog wd(stream, svc, {}, &m);
   wd.attach();
   for (std::size_t i = 0; i < feed.batches.size(); ++i) {
     service::replay_slice(stream, feed, i);
     wd.scan();
   }
+  // One scan per call; drain() may re-scan until the lifecycle quiesces.
+  EXPECT_EQ(m.counter("watchdog.scans")->value(), feed.batches.size());
   wd.drain();
   wd.detach();
-  EXPECT_GE(m.counter("watchdog.scans")->value() - scans0,
-            feed.batches.size());
-  EXPECT_EQ(m.counter("watchdog.incidents_opened")->value() - opened0, 1u);
+  EXPECT_EQ(m.counter("watchdog.incidents_opened")->value(), 1u);
   svc.stop();
 }
 
